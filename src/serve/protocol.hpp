@@ -44,12 +44,13 @@
 
 #include "dse/explorer.hpp"
 #include "phase/segmenter.hpp"
+#include "trace/trace.hpp"
 
 namespace minnoc::serve {
 
 /** Hard framing limits; anything past them is a structured error. */
 inline constexpr std::size_t kMaxRequestBytes = 8u << 20; ///< one line
-inline constexpr std::uint32_t kMaxTraceRanks = 4096;
+inline constexpr std::uint32_t kMaxTraceRanks = trace::Trace::kMaxRanks;
 inline constexpr std::size_t kMaxGridJobs = 1024;
 
 /** The structured error taxonomy every failure maps onto. */

@@ -65,21 +65,6 @@ struct SimConfig
     Cycle maxCycles = 2'000'000'000;
 
     /**
-     * Lax-sync slack window (cycles; 0 = strict, the default). When
-     * nonzero, backward credit returns may be consumed up to this many
-     * cycles before their modeled wire arrival, so a sender stalled on
-     * a credit round-trip resumes early and the replay finishes in
-     * fewer simulated cycles (Graphite-style bounded-slack relaxation,
-     * applied to the credit channel only). Flit arrivals stay
-     * cycle-exact, routing and VC allocation are unchanged, and the
-     * run remains deterministic for a fixed slack — only the strict
-     * timing guarantee is traded: latency/energy may deviate from the
-     * slack-0 run by an amount bounded in practice by the slack (see
-     * bench/lax_sync for the measured error per setting).
-     */
-    Cycle laxSyncSlack = 0;
-
-    /**
      * Optional cooperative-cancellation token (not owned, may be
      * null). The replay loop polls it at epoch granularity (every few
      * thousand scheduler iterations) and unwinds with CancelledError
@@ -103,11 +88,6 @@ struct SimConfig
             << ";ro=" << recvOverhead << ";dto=" << deadlockTimeout
             << ";dp=" << deadlockPenalty << ";dsi=" << deadlockScanInterval
             << ";rec=" << maxRecoveries << ";max=" << maxCycles;
-        // Appended only when lax-sync is on, so every strict-mode
-        // signature (and with it every existing cache key and golden
-        // artifact) keeps its exact historical bytes.
-        if (laxSyncSlack > 0)
-            oss << ";lax=" << laxSyncSlack;
         return oss.str();
     }
 };

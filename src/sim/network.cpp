@@ -1,6 +1,7 @@
 #include "network.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/log.hpp"
 
@@ -20,6 +21,34 @@ packetChecksum(PacketId id, core::ProcId src, core::ProcId dst,
     return z ^ (z >> 31);
 }
 
+void
+mark(std::vector<std::uint64_t> &set, std::uint32_t id)
+{
+    set[id / 64] |= std::uint64_t{1} << (id % 64);
+}
+
+void
+unmark(std::vector<std::uint64_t> &set, std::uint32_t id)
+{
+    set[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+}
+
+/**
+ * Visit the ids in @p set in ascending order. Each word is read once
+ * when the walk reaches it, so the visitor may clear its own bit.
+ */
+template <typename Visit>
+void
+forEach(const std::vector<std::uint64_t> &set, Visit visit)
+{
+    for (std::size_t w = 0; w < set.size(); ++w) {
+        for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
+            visit(static_cast<std::uint32_t>(w * 64 +
+                                             std::countr_zero(bits)));
+        }
+    }
+}
+
 } // namespace
 
 Network::Network(const topo::Topology &topo,
@@ -29,15 +58,12 @@ Network::Network(const topo::Topology &topo,
       _faults(std::move(faults))
 {
     const auto numLinks = static_cast<std::uint32_t>(topo.numLinks());
-    _inputs.resize(numLinks);
+    // Links into end-nodes never use their input VCs (the NI drains
+    // instantly) but keep uniform sender-side credit bookkeeping.
+    _vcs.resize(static_cast<std::size_t>(numLinks) * config.numVcs);
     _outputs.resize(numLinks);
     _pipes.resize(numLinks);
     for (topo::LinkId l = 0; l < numLinks; ++l) {
-        // Links into switches get receive buffers; links into end-nodes
-        // are drained instantly by the NI (modeled without an input
-        // unit), but keep uniform sender-side credit bookkeeping.
-        if (!topo.isProc(topo.link(l).to))
-            _inputs[l].vcs.resize(config.numVcs);
         auto &out = _outputs[l];
         out.credits.assign(config.numVcs, config.vcDepth);
         out.vcOwner.assign(config.numVcs, kNoPacket);
@@ -45,8 +71,15 @@ Network::Network(const topo::Topology &topo,
         out.outstanding.assign(config.numVcs, 0);
     }
     _sources.resize(topo.numProcs());
-    _inputUsed.assign(numLinks, false);
-    _sourceUsed.assign(topo.numProcs(), false);
+    for (core::ProcId p = 0; p < topo.numProcs(); ++p)
+        _sources[p].link = topo.injectionLink(p);
+    const std::size_t words = (numLinks + 63) / 64;
+    _flitPipes.assign(words, 0);
+    _creditPipes.assign(words, 0);
+    _requested.assign(words, 0);
+    _pendingRoute.assign((numLinks * config.numVcs + 63) / 64, 0);
+    _queuedSources.assign((topo.numProcs() + 63) / 64, 0);
+    _inputUsedAt.assign(numLinks, -1);
     _stats.linkFlits.assign(numLinks, 0);
 
     // Fail-from-start link faults: swap in the degraded routing before
@@ -92,6 +125,7 @@ Network::enqueue(core::ProcId src, core::ProcId dst, std::uint64_t bytes,
         return pkt.id;
     }
     _sources[src].queue.push_back(pkt.id);
+    mark(_queuedSources, src);
     return pkt.id;
 }
 
@@ -136,9 +170,6 @@ Network::step(Cycle now)
         panic("Network::step: non-monotone clock");
     _lastStep = now;
 
-    std::fill(_inputUsed.begin(), _inputUsed.end(), false);
-    std::fill(_sourceUsed.begin(), _sourceUsed.end(), false);
-
     if (!_faultsActive && _faults.hasLinkFaults() &&
         now >= _faults.failAtCycle()) {
         activateFaults(now);
@@ -146,7 +177,7 @@ Network::step(Cycle now)
 
     arriveCredits(now);
     arriveFlits(now);
-    routeAndAllocate(now);
+    routeAndAllocate();
     switchAllocation(now);
     injectFromSources(now);
     if (_config.deadlockScanInterval > 0 &&
@@ -168,16 +199,10 @@ Network::step(Cycle now)
 void
 Network::arriveCredits(Cycle now)
 {
-    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
+    forEach(_creditPipes, [&](topo::LinkId l) {
         auto &pipe = _pipes[l];
         auto &out = _outputs[l];
-        // Lax-sync: credits may be consumed up to laxSyncSlack cycles
-        // before their modeled wire arrival (0 = strict, bit-exact with
-        // the historical comparison). Only this backward channel is
-        // relaxed; flit arrivals in arriveFlits() stay cycle-exact.
-        const Cycle horizon = now + _config.laxSyncSlack;
-        while (!pipe.credits.empty() &&
-               pipe.credits.front().arrive <= horizon) {
+        while (!pipe.credits.empty() && pipe.credits.front().arrive <= now) {
             const auto vc = pipe.credits.front().vc;
             pipe.credits.pop_front();
             ++out.credits[vc];
@@ -190,13 +215,17 @@ Network::arriveCredits(Cycle now)
                 out.tailSent[vc] = false;
             }
         }
-    }
+        if (pipe.credits.empty())
+            unmark(_creditPipes, l);
+    });
 }
 
 void
 Network::arriveFlits(Cycle now)
 {
-    for (topo::LinkId l = 0; l < _pipes.size(); ++l) {
+    // Ascending link order, as a full sweep: deliveries sample the
+    // latency statistics and may purge, so their order is observable.
+    forEach(_flitPipes, [&](topo::LinkId l) {
         auto &pipe = _pipes[l];
         while (!pipe.flits.empty() && pipe.flits.front().arrive <= now) {
             const auto in = pipe.flits.front();
@@ -204,21 +233,34 @@ Network::arriveFlits(Cycle now)
             const auto toNode = _topo->link(l).to;
             if (_topo->isProc(toNode)) {
                 deliverAtProc(in.flit, l, in.vc, now);
-            } else {
-                auto &vc = _inputs[l].vcs.at(in.vc);
-                if (in.flit.isHead()) {
-                    if (vc.owner != kNoPacket)
-                        panic("Network: head arrival on owned VC");
-                    vc.owner = in.flit.packet;
-                }
-                if (vc.owner != in.flit.packet)
-                    panic("Network: flit arrival on foreign VC");
-                vc.buffer.push_back(in.flit);
-                ++_stats.bufferWrites;
-                _packets[in.flit.packet].lastProgress = now;
+                continue;
             }
+            auto &vc = vcAt(VcRef{l, in.vc});
+            Packet &pkt = _packets[in.flit.packet];
+            if (in.flit.isHead()) {
+                if (vc.owner != kNoPacket)
+                    panic("Network: head arrival on owned VC");
+                vc.owner = in.flit.packet;
+                vc.frontSeq = 0;
+                // Candidates depend only on (node, src, dst), so one
+                // lookup serves every cycle the head waits for a VC.
+                vc.candidates =
+                    _routing->candidates(toNode, pkt.src, pkt.dst);
+                if (vc.candidates.empty())
+                    panic("Network: routing returned no candidates");
+                mark(_pendingRoute, l * _config.numVcs + in.vc);
+            }
+            if (vc.owner != in.flit.packet ||
+                in.flit.seq != vc.frontSeq + vc.buffered) {
+                panic("Network: flit arrival out of its worm's order");
+            }
+            ++vc.buffered;
+            ++_stats.bufferWrites;
+            pkt.lastProgress = now;
         }
-    }
+        if (pipe.flits.empty())
+            unmark(_flitPipes, l);
+    });
 }
 
 std::uint32_t
@@ -242,7 +284,6 @@ Network::chooseOutput(const std::vector<topo::LinkId> &candidates)
     // (congestion-aware choice for adaptive routing; deterministic
     // functions supply one candidate).
     topo::LinkId best = topo::kNoLink;
-    bool bestFree = false;
     std::uint64_t bestCredits = 0;
     for (const auto cand : candidates) {
         const auto &out = _outputs[cand];
@@ -257,53 +298,70 @@ Network::chooseOutput(const std::vector<topo::LinkId> &candidates)
             continue;
         if (best == topo::kNoLink || credits > bestCredits) {
             best = cand;
-            bestFree = true;
             bestCredits = credits;
         }
     }
-    (void)bestFree;
     return best;
 }
 
 void
-Network::routeAndAllocate(Cycle now)
+Network::routeAndAllocate()
 {
-    (void)now;
-    for (topo::LinkId l = 0; l < _inputs.size(); ++l) {
-        auto &unit = _inputs[l];
-        for (auto &vc : unit.vcs) {
-            if (vc.buffer.empty() || vc.outAssigned)
-                continue;
-            if (!vc.buffer.front().isHead())
-                panic("Network: non-head flit awaiting route");
-            const Packet &pkt = _packets[vc.buffer.front().packet];
-            const auto node = _topo->link(l).to;
-            const auto candidates =
-                _routing->candidates(node, pkt.src, pkt.dst);
-            if (candidates.empty())
-                panic("Network: routing returned no candidates");
-            const auto out = chooseOutput(candidates);
-            if (out == topo::kNoLink)
-                continue; // every candidate VC busy: stall
-            auto &outState = _outputs[out];
-            const auto w = allocateVc(outState);
-            if (w == kNoVc)
-                continue;
-            outState.vcOwner[w] = pkt.id;
-            outState.tailSent[w] = false;
-            vc.outLink = out;
-            vc.outVc = w;
-            vc.outAssigned = true;
-        }
+    // VC allocation on a shared output depends on the order heads are
+    // served, so the worklist is walked in full-sweep (link, vc) order.
+    forEach(_pendingRoute, [&](std::uint32_t i) {
+        const VcRef ref{i / _config.numVcs, i % _config.numVcs};
+        auto &vc = _vcs[i];
+        // A purge may have emptied the VC since it was listed.
+        const bool waiting = vc.buffered != 0 && vc.outLink == topo::kNoLink;
+        if (!waiting || routeHead(ref, vc))
+            unmark(_pendingRoute, i);
+    });
+}
+
+bool
+Network::routeHead(const VcRef &ref, VcState &vc)
+{
+    if (vc.frontSeq != 0)
+        panic("Network: non-head flit awaiting route");
+    const auto out = chooseOutput(vc.candidates);
+    if (out == topo::kNoLink)
+        return false; // every candidate VC busy: stall
+    auto &outState = _outputs[out];
+    const auto w = allocateVc(outState);
+    if (w == kNoVc)
+        return false;
+    outState.vcOwner[w] = vc.owner;
+    outState.tailSent[w] = false;
+    vc.outLink = out;
+    vc.outVc = w;
+    auto &list = outState.requesters;
+    list.insert(std::lower_bound(list.begin(), list.end(), ref), ref);
+    mark(_requested, out);
+    return true;
+}
+
+void
+Network::releaseVc(const VcRef &ref, VcState &vc)
+{
+    if (vc.outLink != topo::kNoLink) {
+        auto &list = _outputs[vc.outLink].requesters;
+        list.erase(std::find(list.begin(), list.end(), ref));
+        if (list.empty())
+            unmark(_requested, vc.outLink);
     }
+    vc.owner = kNoPacket;
+    vc.buffered = 0;
+    vc.outLink = topo::kNoLink;
+    vc.outVc = kNoVc;
 }
 
 void
 Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, VcState &vc,
                      Cycle now)
 {
-    const FlitRef flit = vc.buffer.front();
-    vc.buffer.pop_front();
+    const FlitRef flit{vc.owner, vc.frontSeq++};
+    --vc.buffered;
     ++_stats.bufferReads;
     auto &out = _outputs[vc.outLink];
 
@@ -313,6 +371,7 @@ Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, VcState &vc,
     ++out.outstanding[vc.outVc];
     _pipes[vc.outLink].flits.push_back(LinkPipe::InFlit{
         now + _topo->link(vc.outLink).delay(), flit, vc.outVc});
+    mark(_flitPipes, vc.outLink);
     maybeCorrupt(flit);
     ++_stats.flitHops;
     ++_stats.linkFlits[vc.outLink];
@@ -324,101 +383,84 @@ Network::forwardFlit(topo::LinkId inLink, std::uint32_t inVc, VcState &vc,
     // sender of `inLink` after the wire's return delay.
     _pipes[inLink].credits.push_back(LinkPipe::InCredit{
         now + _topo->link(inLink).delay(), inVc});
+    mark(_creditPipes, inLink);
 
     if (isTail(flit)) {
         out.tailSent[vc.outVc] = true;
-        if (!vc.buffer.empty())
+        if (vc.buffered != 0)
             panic("Network: flits behind tail in VC");
-        vc.owner = kNoPacket;
-        vc.outAssigned = false;
-        vc.outLink = topo::kNoLink;
-        vc.outVc = kNoVc;
+        releaseVc(VcRef{inLink, inVc}, vc);
     }
-    _inputUsed[inLink] = true;
+    _inputUsedAt[inLink] = now;
 }
 
 void
 Network::switchAllocation(Cycle now)
 {
-    // Arbitrate each output link independently (full crossbar switches:
-    // contention exists only per link, as in the paper's model).
-    for (topo::LinkId out = 0; out < _outputs.size(); ++out) {
-        const auto fromNode = _topo->link(out).from;
-        if (_topo->isProc(fromNode))
-            continue; // injection links are driven by the source NIs
-
-        // Gather requesting (input link, vc) pairs.
-        struct Request
-        {
-            topo::LinkId link;
-            std::uint32_t vc;
-        };
-        std::vector<Request> requests;
-        for (const auto inLink : _topo->inLinks(fromNode)) {
-            if (_inputUsed[inLink])
+    // Arbitrate each requested output independently (full crossbar
+    // switches: contention exists only per link, as in the paper's
+    // model). Ascending output order matters: a winning input link is
+    // used up for the rest of the cycle.
+    forEach(_requested, [&](topo::LinkId out) {
+        auto &output = _outputs[out];
+        _eligible.clear();
+        for (const auto &ref : output.requesters) {
+            if (_inputUsedAt[ref.link] == now)
                 continue;
-            auto &unit = _inputs[inLink];
-            for (std::uint32_t v = 0; v < unit.vcs.size(); ++v) {
-                auto &vc = unit.vcs[v];
-                if (vc.buffer.empty() || !vc.outAssigned ||
-                    vc.outLink != out) {
-                    continue;
-                }
-                if (_outputs[out].credits[vc.outVc] == 0)
-                    continue;
-                requests.push_back(Request{inLink, v});
-            }
+            const auto &vc = vcAt(ref);
+            if (vc.buffered != 0 && output.credits[vc.outVc] != 0)
+                _eligible.push_back(ref);
         }
-        if (requests.empty())
-            continue;
-        auto &rr = _outputs[out].rrReq;
-        const auto &winner = requests[rr % requests.size()];
-        rr = (rr + 1) % std::max<std::uint32_t>(
-                            1, static_cast<std::uint32_t>(requests.size()));
-        forwardFlit(winner.link, winner.vc,
-                    _inputs[winner.link].vcs[winner.vc], now);
-    }
+        if (_eligible.empty())
+            return;
+        const auto count = static_cast<std::uint32_t>(_eligible.size());
+        const auto winner = _eligible[output.rrReq % count];
+        output.rrReq = (output.rrReq + 1) % count;
+        forwardFlit(winner.link, winner.vc, vcAt(winner), now);
+    });
 }
 
 void
 Network::injectFromSources(Cycle now)
 {
-    for (core::ProcId p = 0; p < _sources.size(); ++p) {
+    // Ascending processor order: corruption draws follow it.
+    forEach(_queuedSources, [&](core::ProcId p) {
         auto &src = _sources[p];
-        if (src.queue.empty() || _sourceUsed[p])
-            continue;
+        if (src.queue.empty()) {
+            unmark(_queuedSources, p);
+            return;
+        }
         Packet &pkt = _packets[src.queue.front()];
         if (now < pkt.holdUntil)
-            continue;
-        const auto inj = _topo->injectionLink(p);
-        auto &out = _outputs[inj];
+            return;
+        auto &out = _outputs[src.link];
 
         if (!src.vcAssigned) {
             const auto w = allocateVc(out);
             if (w == kNoVc)
-                continue;
+                return;
             out.vcOwner[w] = pkt.id;
             out.tailSent[w] = false;
             src.vc = w;
             src.vcAssigned = true;
         }
         if (out.credits[src.vc] == 0)
-            continue;
+            return;
 
         const FlitRef flit{pkt.id, pkt.flitsInjected};
         --out.credits[src.vc];
         ++out.outstanding[src.vc];
-        _pipes[inj].flits.push_back(LinkPipe::InFlit{
-            now + _topo->link(inj).delay(), flit, src.vc});
+        _pipes[src.link].flits.push_back(LinkPipe::InFlit{
+            now + _topo->link(src.link).delay(), flit, src.vc});
+        mark(_flitPipes, src.link);
         maybeCorrupt(flit);
         ++pkt.flitsInjected;
         ++_flitsInNetwork;
         ++_stats.flitHops;
-        ++_stats.linkFlits[inj];
+        ++_stats.linkFlits[src.link];
         if (flit.isHead())
             ++pkt.hops;
         pkt.lastProgress = now;
-        _sourceUsed[p] = true;
 
         if (pkt.flitsInjected == pkt.numFlits) {
             out.tailSent[src.vc] = true;
@@ -426,7 +468,7 @@ Network::injectFromSources(Cycle now)
             src.vcAssigned = false;
             src.vc = kNoVc;
         }
-    }
+    });
 }
 
 void
@@ -442,6 +484,7 @@ Network::deliverAtProc(const FlitRef &flit, topo::LinkId link,
     // last switch after the wire's return delay.
     _pipes[link].credits.push_back(LinkPipe::InCredit{
         now + _topo->link(link).delay(), vc});
+    mark(_creditPipes, link);
 
     if (isTail(flit)) {
         if (pkt.flitsDelivered != pkt.numFlits)
@@ -546,25 +589,19 @@ Network::purgePacket(PacketId id)
     }
 
     // Purge buffered flits and free the victim's input VCs.
-    for (topo::LinkId l = 0; l < _inputs.size(); ++l) {
-        auto &out = _outputs[l];
-        for (std::uint32_t v = 0; v < _inputs[l].vcs.size(); ++v) {
-            auto &vc = _inputs[l].vcs[v];
-            if (vc.owner != id)
-                continue;
-            const auto k =
-                static_cast<std::uint32_t>(vc.buffer.size());
-            vc.buffer.clear();
-            vc.owner = kNoPacket;
-            vc.outAssigned = false;
-            vc.outLink = topo::kNoLink;
-            vc.outVc = kNoVc;
-            out.credits[v] += k;
-            if (out.outstanding[v] < k)
-                panic("Network: recovery outstanding underflow");
-            out.outstanding[v] -= k;
-            _flitsInNetwork -= k;
-        }
+    for (std::uint32_t i = 0; i < _vcs.size(); ++i) {
+        auto &vc = _vcs[i];
+        if (vc.owner != id)
+            continue;
+        const VcRef ref{i / _config.numVcs, i % _config.numVcs};
+        auto &out = _outputs[ref.link];
+        const auto k = vc.buffered;
+        releaseVc(ref, vc);
+        out.credits[ref.vc] += k;
+        if (out.outstanding[ref.vc] < k)
+            panic("Network: recovery outstanding underflow");
+        out.outstanding[ref.vc] -= k;
+        _flitsInNetwork -= k;
     }
 
     // Release every downstream VC reservation held by the victim. A
@@ -622,6 +659,7 @@ Network::requeuePacket(PacketId id, Cycle now, Cycle backoff)
         if (src.vcAssigned && !src.queue.empty())
             ++pos;
         src.queue.insert(pos, id);
+        mark(_queuedSources, pkt.src);
     }
     if (src.queue.front() == id)
         src.vcAssigned = false;
@@ -741,11 +779,11 @@ Network::idle() const
 {
     if (_flitsInNetwork != 0)
         return false;
-    for (const auto &src : _sources) {
-        if (!src.queue.empty())
-            return false;
-    }
-    return true;
+    bool queued = false;
+    forEach(_queuedSources, [&](core::ProcId p) {
+        queued |= !_sources[p].queue.empty();
+    });
+    return !queued;
 }
 
 } // namespace minnoc::sim

@@ -8,6 +8,12 @@
  * per-output round-robin switch allocation, one flit per input link and
  * per output link per cycle, and wire delay equal to link length.
  *
+ * Each cycle touches only state that can change: pipes with traffic in
+ * flight, heads awaiting a route, outputs with requesters, sources with
+ * queued packets. Every such worklist is walked in the order a full
+ * sweep would visit it, which keeps arbitration bit-exact (DESIGN.md
+ * §5m).
+ *
  * Deadlocks (possible under the torus's fully adaptive routing and on
  * arbitrary generated topologies) are detected by per-packet progress
  * timeout and resolved by regressive recovery: every buffered or
@@ -19,6 +25,7 @@
 #ifndef MINNOC_SIM_NETWORK_HPP
 #define MINNOC_SIM_NETWORK_HPP
 
+#include <compare>
 #include <deque>
 #include <map>
 #include <memory>
@@ -213,21 +220,27 @@ class Network
   private:
     static constexpr std::uint32_t kNoVc = static_cast<std::uint32_t>(-1);
 
+    /** One input virtual channel: (link, vc), ordered link-major. */
+    struct VcRef
+    {
+        topo::LinkId link;
+        std::uint32_t vc;
+
+        auto operator<=>(const VcRef &) const = default;
+    };
+
     /** Receiver-side state of one virtual channel of one link. */
     struct VcState
     {
         PacketId owner = kNoPacket;
-        std::deque<FlitRef> buffer;
-        /** Output chosen for the owner (valid once head routed). */
+        /** Buffered: the owner's flits [frontSeq, frontSeq + buffered). */
+        std::uint32_t frontSeq = 0;
+        std::uint32_t buffered = 0;
+        /** Routing candidates of the owner, fixed when its head arrives. */
+        std::vector<topo::LinkId> candidates;
+        /** Output chosen for the owner (kNoLink until head routed). */
         topo::LinkId outLink = topo::kNoLink;
         std::uint32_t outVc = kNoVc;
-        bool outAssigned = false;
-    };
-
-    /** Receiver side of a link (absent for links into end-nodes). */
-    struct InputUnit
-    {
-        std::vector<VcState> vcs;
     };
 
     /** Sender-side bookkeeping of a link. */
@@ -239,6 +252,8 @@ class Network
         std::vector<std::uint32_t> outstanding; ///< flits not yet credited
         std::uint32_t rrVc = 0;             ///< VC allocation round-robin
         std::uint32_t rrReq = 0;            ///< switch allocation rr
+        /** Input VCs routed to this output, ascending (link, vc). */
+        std::vector<VcRef> requesters;
     };
 
     /** Flits and credits in flight on a link. */
@@ -262,15 +277,26 @@ class Network
     /** Per-processor source NI. */
     struct SourceNi
     {
+        topo::LinkId link = topo::kNoLink; ///< injection link
         std::deque<PacketId> queue;
         std::uint32_t vc = kNoVc;
         bool vcAssigned = false;
     };
 
+    /** One bit per link, processor or input VC; walked in id order. */
+    using IdSet = std::vector<std::uint64_t>;
+
+    VcState &
+    vcAt(const VcRef &r)
+    {
+        return _vcs[r.link * _config.numVcs + r.vc];
+    }
+
     bool isTail(const FlitRef &f) const;
     void arriveFlits(Cycle now);
     void arriveCredits(Cycle now);
-    void routeAndAllocate(Cycle now);
+    void routeAndAllocate();
+    bool routeHead(const VcRef &ref, VcState &vc);
     void switchAllocation(Cycle now);
     void injectFromSources(Cycle now);
     void scanForDeadlocks(Cycle now);
@@ -282,6 +308,8 @@ class Network
     void maybeCorrupt(const FlitRef &flit);
     std::uint32_t allocateVc(OutputState &out);
     topo::LinkId chooseOutput(const std::vector<topo::LinkId> &candidates);
+    /** Free an input VC and drop it from its output's requesters. */
+    void releaseVc(const VcRef &ref, VcState &vc);
     void forwardFlit(topo::LinkId inLink, std::uint32_t inVc,
                      VcState &vc, Cycle now);
     void deliverAtProc(const FlitRef &flit, topo::LinkId link,
@@ -302,7 +330,7 @@ class Network
         _lostSeqs;
 
     std::vector<Packet> _packets;
-    std::vector<InputUnit> _inputs;   ///< per link (empty for proc sinks)
+    std::vector<VcState> _vcs;         ///< per input VC, link-major
     std::vector<OutputState> _outputs; ///< per link
     std::vector<LinkPipe> _pipes;      ///< per link
     std::vector<SourceNi> _sources;    ///< per proc
@@ -318,9 +346,20 @@ class Network
     std::map<std::pair<core::ProcId, core::ProcId>, std::uint64_t>
         _sendSeq;
 
-    /** Per-cycle scratch: input links already used this cycle. */
-    std::vector<bool> _inputUsed;
-    std::vector<bool> _sourceUsed;
+    /** Links with flits in flight (bits cleared lazily once empty). */
+    IdSet _flitPipes;
+    /** Links with credits in flight (bits cleared lazily once empty). */
+    IdSet _creditPipes;
+    /** Outputs with a non-empty requester list. */
+    IdSet _requested;
+    /** Sources with queued packets (bits cleared lazily once empty). */
+    IdSet _queuedSources;
+    /** Input VCs (bit = index in _vcs) whose head awaits a route. */
+    IdSet _pendingRoute;
+    /** Switch-allocation scratch: one output's eligible requesters. */
+    std::vector<VcRef> _eligible;
+    /** Cycle each input link last forwarded a flit (one per cycle). */
+    std::vector<Cycle> _inputUsedAt;
 
     std::uint64_t _flitsInNetwork = 0;
     NetworkStats _stats;

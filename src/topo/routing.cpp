@@ -27,23 +27,33 @@ TableRouting::setPath(core::ProcId src, core::ProcId dst,
         panic("TableRouting '", _name, "': path endpoints wrong for (",
               src, ",", dst, ")");
     }
-    _table[key(src, dst)] = std::move(path);
+    _paths[slot(src, dst)] = std::move(path);
+}
+
+std::size_t
+TableRouting::slot(core::ProcId s, core::ProcId d) const
+{
+    const std::uint32_t procs = _topo->numProcs();
+    if (s >= procs || d >= procs)
+        panic("TableRouting '", _name, "': pair (", s, ",", d,
+              ") out of range");
+    return static_cast<std::size_t>(s) * procs + d;
 }
 
 const std::vector<LinkId> &
 TableRouting::path(core::ProcId src, core::ProcId dst) const
 {
-    const auto it = _table.find(key(src, dst));
-    if (it == _table.end())
+    const auto &p = _paths[slot(src, dst)];
+    if (p.empty())
         panic("TableRouting '", _name, "': no path for (", src, ",", dst,
               ")");
-    return it->second;
+    return p;
 }
 
 bool
 TableRouting::hasPath(core::ProcId src, core::ProcId dst) const
 {
-    return _table.count(key(src, dst)) != 0;
+    return !_paths[slot(src, dst)].empty();
 }
 
 std::vector<LinkId>

@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/finalize.hpp"
@@ -45,15 +44,18 @@ class RoutingFunction
 };
 
 /**
- * Deterministic source routing backed by a per-pair link path table.
- * Paths include the injection and ejection links.
+ * Deterministic source routing backed by a dense per-pair link path
+ * table (`path[src][dst]`, the routing-matrix layout). Paths include
+ * the injection and ejection links.
  */
 class TableRouting : public RoutingFunction
 {
   public:
     /** @param topo topology the paths refer to (must outlive this) */
     TableRouting(const Topology &topo, std::string name)
-        : _topo(&topo), _name(std::move(name))
+        : _topo(&topo), _name(std::move(name)),
+          _paths(static_cast<std::size_t>(topo.numProcs()) *
+                 topo.numProcs())
     {
     }
 
@@ -74,15 +76,13 @@ class TableRouting : public RoutingFunction
     std::string name() const override { return _name; }
 
   private:
-    static std::uint64_t
-    key(core::ProcId s, core::ProcId d)
-    {
-        return (static_cast<std::uint64_t>(s) << 32) | d;
-    }
+    /** Index of (s, d) in the dense table (panics when out of range). */
+    std::size_t slot(core::ProcId s, core::ProcId d) const;
 
     const Topology *_topo;
     std::string _name;
-    std::unordered_map<std::uint64_t, std::vector<LinkId>> _table;
+    /** Row-major by source; an empty path means none installed. */
+    std::vector<std::vector<LinkId>> _paths;
 };
 
 /**

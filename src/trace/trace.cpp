@@ -137,15 +137,28 @@ Trace::load(std::istream &is)
     std::uint32_t ranks = 0;
     if (!(is >> magic >> name >> ranks) || magic != "trace")
         fatal("Trace::load: bad header");
+    // Checked before the timelines are allocated: the header alone must
+    // not be able to exhaust memory.
+    if (ranks > kMaxRanks)
+        fatal("Trace::load: ", ranks, " ranks exceeds the limit of ",
+              kMaxRanks);
     Trace trace(name, ranks);
 
+    // Every op is validated here with fatal(), so a malformed file is a
+    // user error and never reaches push()'s internal panics.
     core::ProcId r;
     std::string kind;
     while (is >> r >> kind) {
+        if (r >= ranks)
+            fatal("Trace::load: rank ", r, " out of range (", ranks,
+                  " ranks)");
         if (kind == "compute") {
             std::int64_t cycles;
             if (!(is >> cycles))
                 fatal("Trace::load: bad compute op");
+            if (cycles < 0)
+                fatal("Trace::load: rank ", r, " has negative compute ",
+                      cycles);
             trace.push(r, TraceOp::compute(cycles));
         } else if (kind == "send" || kind == "recv") {
             core::ProcId peer;
@@ -153,6 +166,12 @@ Trace::load(std::istream &is)
             std::uint32_t call;
             if (!(is >> peer >> bytes >> call))
                 fatal("Trace::load: bad ", kind, " op");
+            if (peer >= ranks)
+                fatal("Trace::load: rank ", r, " ", kind, " peer ", peer,
+                      " out of range (", ranks, " ranks)");
+            if (peer == r)
+                fatal("Trace::load: rank ", r, " ", kind,
+                      " with itself");
             trace.push(r, kind == "send"
                               ? TraceOp::send(peer, bytes, call)
                               : TraceOp::recv(peer, bytes, call));

@@ -120,7 +120,14 @@ class Trace
     /** Text serialization (one op per line). */
     void save(std::ostream &os) const;
 
-    /** Parse the save() format; throws via fatal() on malformed input. */
+    /** Largest rank count load() accepts. */
+    static constexpr std::uint32_t kMaxRanks = 4096;
+
+    /**
+     * Parse the save() format. Malformed input -- bad syntax, a rank or
+     * peer out of range, a self-send, negative compute, more than
+     * kMaxRanks ranks -- fails through fatal().
+     */
     static Trace load(std::istream &is);
 
     bool operator==(const Trace &o) const = default;

@@ -37,6 +37,15 @@ head -1 "$DIR/cg.design" | grep -q "minnoc-design 1"
 "$MINNOC" dot "$DIR/cg.design" --out "$DIR/cg.dot"
 grep -q "graph design" "$DIR/cg.dot"
 
+# A semantically invalid trace (peer out of range) is a user error:
+# exit 1 with one "fatal:" line, never an abort.
+printf 'trace x 2\n0 send 9 64 1\n' >"$DIR/bad.trace"
+rc=0
+"$MINNOC" analyze "$DIR/bad.trace" 2>"$DIR/bad.err" || rc=$?
+test "$rc" -eq 1
+test "$(wc -l <"$DIR/bad.err")" -eq 1
+grep -q "^fatal: " "$DIR/bad.err"
+
 # Phase pipeline: a synthetic phase-shift workload must segment into
 # at least two phases, verify contention-free per phase, and produce a
 # byte-identical report at any thread count.

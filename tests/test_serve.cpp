@@ -249,6 +249,34 @@ TEST(Serve, MalformedInputGetsStructuredErrorsAndDaemonSurvives)
     EXPECT_EQ(live.counter("serve/errors_validation_error"), 2.0);
 }
 
+TEST(Serve, SemanticallyInvalidTraceIsAValidationError)
+{
+    LiveServer live("serve-bad-trace");
+    auto client = live.client();
+
+    // Each trace parses but names a rank, peer or count it may not:
+    // the daemon must answer with a structured error, never abort.
+    const char *bodies[] = {
+        "trace x 2\\n0 send 9 64 1\\n",
+        "trace x 2\\n0 send 0 64 1\\n",
+        "trace x 2\\n0 compute -5\\n",
+        "trace x 4294967295\\n",
+    };
+    for (const char *body : bodies) {
+        const auto r = roundTrip(
+            client, std::string("{\"id\": \"b\", \"cmd\": \"design\", "
+                                "\"trace\": \"") +
+                        body + "\"}");
+        EXPECT_FALSE(r.ok) << body;
+        EXPECT_EQ(r.code, "validation_error") << body;
+    }
+
+    const auto pong =
+        roundTrip(client, "{\"id\": \"p\", \"cmd\": \"ping\"}");
+    EXPECT_TRUE(pong.ok);
+    EXPECT_EQ(live.counter("serve/errors_validation_error"), 4.0);
+}
+
 TEST(Serve, DesignByteIdenticalToCliColdAndWarm)
 {
     const auto trace = traceText(trace::Benchmark::CG, 8);

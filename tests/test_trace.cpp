@@ -91,6 +91,33 @@ TEST(Trace, LoadRejectsGarbage)
                 "bad header");
 }
 
+TEST(Trace, LoadRejectsSemanticallyInvalidOps)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"trace x 2\n0 send 9 64 1\n", "peer 9 out of range"},
+        {"trace x 2\n1 recv 2 64 1\n", "peer 2 out of range"},
+        {"trace x 2\n5 compute 1\n", "rank 5 out of range"},
+        {"trace x 2\n0 send 0 64 1\n", "with itself"},
+        {"trace x 2\n0 compute -5\n", "negative compute"},
+        {"trace x 4097\n", "exceeds the limit of 4096"},
+        {"trace x 4294967295\n", "exceeds the limit"},
+    };
+    for (const auto &[text, message] : cases) {
+        std::stringstream ss(text);
+        EXPECT_EXIT(Trace::load(ss), ::testing::ExitedWithCode(1),
+                    message)
+            << text;
+    }
+}
+
+TEST(Trace, LoadAcceptsTheRankLimit)
+{
+    std::stringstream ss("trace x 4096\n4095 send 0 8 1\n");
+    const Trace t = Trace::load(ss);
+    EXPECT_EQ(t.numRanks(), Trace::kMaxRanks);
+    EXPECT_EQ(t.numSends(), 1u);
+}
+
 TEST(Trace, EmptyTraceRoundTrip)
 {
     Trace t("empty", 2);

@@ -3,7 +3,7 @@
 #
 # Usage: tools/ci.sh [build-dir]
 #
-# Eleven phases:
+# Twelve phases:
 #  1. ASan + UBSan build tree running the full ctest suite.
 #  2. TSan build tree running the concurrency-sensitive tests (thread
 #     pool, parallel-restart determinism, Fast_Color cache under the
@@ -34,13 +34,11 @@
 #     256-rank designs under ASan/UBSan within a wall-time budget,
 #     every design Theorem-1-verified; the curve JSON lands in the
 #     build dir.
-#  9. Distributed explore + lax-sync smoke: `explore --workers 3`
-#     under ASan must produce a frontier byte-identical to the
-#     in-process run, a warm rerun against the merged shared cache
-#     must hit on every job, the dist status JSON must report zero
-#     worker failures, and the lax_sync bench must hold its
-#     exactness/byte-identity gates; both JSON artifacts land in the
-#     build dir.
+#  9. Distributed explore smoke: `explore --workers 3` under ASan
+#     must produce a frontier byte-identical to the in-process run, a
+#     warm rerun against the merged shared cache must hit on every
+#     job, and the dist status JSON must report zero worker failures;
+#     the status artifact lands in the build dir.
 # 10. Multi-host explore over `minnoc serve` (ASan): two loopback
 #     daemons drive `explore --hosts`; the cold run must be
 #     byte-identical to the in-process reference, a warm rerun must
@@ -54,6 +52,11 @@
 #     budget; the JSON must be byte-identical across thread counts,
 #     every design Theorem-1-verified, the replay deadlock-free; the
 #     artifact lands in the build dir.
+# 12. Benchmark smoke: `perfbench/run.py --smoke` builds the repo
+#     benchmark (Release, its own build tree) and runs every workload
+#     on tiny inputs; it fails unless every metric is printed with its
+#     unit, every simulation delivers, and the correctness gate fires
+#     on a tampered design.
 #
 # Any sanitizer report fails the run (halt_on_error / abort on UB).
 
@@ -228,8 +231,8 @@ grep -q '"verified": false' "$build/scale_curve.json" &&
     { echo "FAIL: scale_curve JSON contains unverified designs"; exit 1; }
 echo "scale curve artifact: $build/scale_curve.json"
 
-echo "=== phase 9: distributed explore + lax-sync (ASan) ==="
-cmake --build "$build" -j "$jobs" --target minnoc lax_sync
+echo "=== phase 9: distributed explore (ASan) ==="
+cmake --build "$build" -j "$jobs" --target minnoc
 dist_cache="$build/ci-dist-cache"
 rm -rf "$dist_cache"
 "$build/tools/minnoc" gen --bench CG --ranks 8 --iterations 1 \
@@ -259,15 +262,7 @@ echo "$dist_warm" | grep -q "100.0% hit rate" ||
     { echo "FAIL: warm distributed rerun below 100% cache hits"; exit 1; }
 cmp "$build/dist_frontier_cold.json" "$build/dist_frontier_warm.json" ||
     { echo "FAIL: warm distributed frontier differs from cold"; exit 1; }
-# Lax-sync bench gates: mesh exactness and dist byte-identity are its
-# exit status; the JSON is the CI trend artifact.
-"$build/bench/lax_sync" --ranks 16 --iterations 1 --workers 3 \
-    --out "$build/lax_sync.json" >/dev/null ||
-    { echo "FAIL: lax_sync bench gates"; exit 1; }
-grep -q '"benchmark": "lax_sync"' "$build/lax_sync.json" ||
-    { echo "FAIL: lax_sync bench produced no report"; exit 1; }
 echo "dist status artifact: $build/dist_status.json"
-echo "lax sync artifact: $build/lax_sync.json"
 
 echo "=== phase 10: multi-host explore over minnoc serve (ASan) ==="
 # Wait until a daemon accepts TCP on its port (or die with its log).
@@ -379,3 +374,11 @@ grep -q '"verified": false' "$build/coherence_stress.json" &&
 grep -q '"deadlock_recoveries": 0' "$build/coherence_stress.json" ||
     { echo "FAIL: coherence replay hit deadlock recovery"; exit 1; }
 echo "coherence stress artifact: $build/coherence_stress.json"
+
+echo "=== phase 12: benchmark smoke ==="
+# The benchmark builds itself from src/ into its own Release tree under
+# the CI build dir, and exits nonzero on a missing metric, an
+# undelivered simulation, or a tamper gate that fails to fire.
+(cd "$repo" && CARGO_TARGET_DIR="$build/perfbench-smoke" \
+    python3 perfbench/run.py --smoke) ||
+    { echo "FAIL: perfbench smoke"; exit 1; }
