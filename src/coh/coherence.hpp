@@ -28,7 +28,7 @@
  * Call ids encode (round, message type), so analyzeByCall() groups each
  * round's invalidation burst into one contention period and the phase
  * segmenter sees call sets drift as sharing migrates — exactly the
- * "assumption frays" signal DESIGN.md §5l quantifies.
+ * "assumption frays" signal DESIGN.md §5k quantifies.
  */
 
 #ifndef MINNOC_COH_COHERENCE_HPP

@@ -11,19 +11,20 @@
 #include <optional>
 #include <poll.h>
 #include <sstream>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
 #include "dse/cache.hpp"
 #include "phase/multi_design.hpp"
-#include "protocol.hpp"
 #include "remote.hpp"
+#include "serve/jobwire.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "util/cancel.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
-#include "worker.hpp"
 
 namespace minnoc::dist {
 
@@ -31,167 +32,204 @@ namespace {
 
 /** Scheduler tick; also the cancellation-polling period. */
 constexpr int kPollMs = 100;
-/** SIGTERM -> SIGKILL drain window on cancellation. */
+/** Close -> SIGKILL drain window for forked lanes on cancellation. */
 constexpr std::int64_t kDrainUs = 2'000'000;
-/** Requests kept in flight per remote lane (pipelined dispatch). */
-constexpr std::size_t kRemoteWindow = 8;
+/** Requests kept in flight per lane (pipelined dispatch). */
+constexpr std::int64_t kWindow = 8;
 
-/** One lane — a forked pipe worker or a remote daemon connection. */
-struct WorkerProc
+/** One lane: a forked `serve` child or a remote daemon connection. */
+struct Lane
 {
-    pid_t pid = -1; ///< forked lanes only
-    int fd = -1;    ///< pipe read end / socket (non-blocking); -1 = reaped
-    FrameBuffer frames;  ///< pipe lanes: netstring decoder
-    std::string lineBuf; ///< remote lanes: NDJSON reply buffer
+    pid_t pid = -1;   ///< forked lanes only
+    int fd = -1;      ///< socket (non-blocking); -1 = reaped
+    int hostIdx = -1; ///< index into DistOptions::hosts; -1 = forked
+    std::string lineBuf; ///< NDJSON reply buffer
     /** Assigned jobs not yet resulted (dispatched or queued). */
     std::vector<std::uint32_t> pending;
-    /** Remote lanes: assigned jobs not yet sent (dispatch window). */
+    /** Assigned jobs not yet sent (the dispatch window's tail). */
     std::deque<std::uint32_t> unsent;
     std::uint32_t attempt = 1;
     std::int64_t lastActivityUs = 0;
-    bool remote = false;
-    int hostIdx = -1; ///< index into DistOptions::hosts
-    bool doneSeen = false;
     bool timedOut = false;
-    std::string errorText; ///< from an `error` frame, "code: message"
+    std::string errorText; ///< from an error reply, "code: message"
+
+    bool remote() const { return hostIdx >= 0; }
 };
 
-using RequestBuilder = std::function<std::string(
-    std::uint32_t slot, std::uint32_t attempt,
-    const std::vector<std::uint32_t> &jobs)>;
-/** One serve request line (newline-terminated) for one job. */
-using RemoteJobBuilder = std::function<std::string(
-    std::uint32_t job, std::uint32_t attempt)>;
+/**
+ * How one run phrases its jobs: a job's request line is
+ * head(job, attempt) followed by the shared trace tail, so the
+ * escaped trace is built once rather than once per job.
+ */
+struct JobWire
+{
+    std::function<std::string(std::uint32_t job, std::uint32_t attempt)>
+        head;
+    std::string tail; ///< `, "trace": "..."}` and the newline
+
+    void setTrace(const std::string &traceText)
+    {
+        tail = ", \"trace\": \"" + serve::jsonEscape(traceText) +
+               "\"}\n";
+    }
+};
+
 using ResultHandler =
-    std::function<void(const WorkerMsg &msg, std::uint32_t slot)>;
+    std::function<void(const serve::WorkerMsg &msg, std::uint32_t slot)>;
 
-/** Restore the previous SIGPIPE disposition on scope exit. */
-class SigpipeGuard
+/**
+ * The `deadline_ms` of every job request. serve counts queue wait
+ * against it, and up to kWindow - 1 requests run ahead of a request on
+ * its lane, each allowed workerTimeoutMs by the activity timeout; so a
+ * healthy lane never hits a deadline. Clamped to the protocol ceiling.
+ */
+std::int64_t
+requestDeadlineMs(const DistOptions &options)
 {
-  public:
-    SigpipeGuard() : _prev(std::signal(SIGPIPE, SIG_IGN)) {}
-    ~SigpipeGuard() { std::signal(SIGPIPE, _prev); }
+    return std::clamp<std::int64_t>(options.workerTimeoutMs, 1,
+                                    serve::kMaxDeadlineMs / kWindow) *
+           kWindow;
+}
 
-  private:
-    using Handler = void (*)(int);
-    Handler _prev;
-};
-
-WorkerProc
-spawnWorker(std::uint32_t slot, std::uint32_t attempt,
-            const std::vector<std::uint32_t> &jobs,
-            const RequestBuilder &makeRequest)
+/**
+ * The daemon a forked lane runs: one job at a time, as the in-process
+ * sweep's workers do, with this run's deadline and disk cache.
+ */
+serve::ServerConfig
+laneConfig(const DistOptions &options, const std::string &cacheDir,
+           bool useCache)
 {
-    const std::string request = makeRequest(slot, attempt, jobs);
-    int req[2];
-    int res[2];
-    if (::pipe(req) != 0 || ::pipe(res) != 0)
-        fatal("dist: pipe: ", std::strerror(errno));
-    const pid_t pid = ::fork();
+    serve::ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.innerThreads = 1;
+    cfg.maxDeadlineMs = requestDeadlineMs(options);
+    cfg.cacheDir = cacheDir;
+    cfg.useCache = useCache;
+    return cfg;
+}
+
+/**
+ * serve refuses a request line longer than serve::kMaxRequestBytes, so
+ * a trace whose job lines exceed it would fail on every lane. Refuse
+ * it before any lane starts.
+ */
+void
+checkJobLineSize(std::size_t longestHead, const JobWire &wire)
+{
+    const std::size_t line = longestHead + wire.tail.size() - 1; // no \n
+    if (line > serve::kMaxRequestBytes)
+        fatal("dist: the trace makes ", line,
+              "-byte job requests, over serve's request limit of ",
+              serve::kMaxRequestBytes, " bytes");
+}
+
+/**
+ * Fork a local lane: a serve::Server child serving one end of a
+ * socketpair. Returns the coordinator's end; @p pid gets the child.
+ */
+int
+forkServeLane(const serve::ServerConfig &config,
+              const std::vector<Lane> &lanes, pid_t &pid)
+{
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+        fatal("dist: socketpair: ", std::strerror(errno));
+    pid = ::fork();
     if (pid < 0)
         fatal("dist: fork: ", std::strerror(errno));
     if (pid == 0) {
-        // Child: only its own pipe ends stay open. Inherited read ends
-        // of sibling result pipes are harmless (they never block EOF);
-        // write ends were already closed in the parent before this
-        // fork, so no sibling can keep another worker's pipe alive.
-        ::close(req[1]);
-        ::close(res[0]);
-        ::_exit(runWorker(req[0], res[1]));
+        // Keep only this lane's end: a copy of another lane's socket
+        // would outlive the coordinator's close(), and that lane's
+        // daemon would never see EOF.
+        ::close(sv[0]);
+        for (const auto &lane : lanes)
+            if (lane.fd >= 0)
+                ::close(lane.fd);
+        serve::Server server(config);
+        std::string err;
+        ::_exit(server.serveConnection(sv[1], err) ? 0 : 1);
     }
-    ::close(req[0]);
-    ::close(res[1]);
-    // Exactly one request frame, then EOF: the worker's whole input.
-    // A write failure means the child died instantly; the reaper will
-    // pick the corpse up through the result pipe's EOF.
-    (void)writeFrame(req[1], request);
-    ::close(req[1]);
-    const int flags = ::fcntl(res[0], F_GETFL, 0);
-    ::fcntl(res[0], F_SETFL, flags | O_NONBLOCK);
+    ::close(sv[1]);
+    return sv[0];
+}
 
-    WorkerProc w;
-    w.pid = pid;
-    w.fd = res[0];
-    w.pending = jobs;
-    w.attempt = attempt;
-    w.lastActivityUs = CancelToken::nowUs();
-    return w;
+/** Send @p w's next unsent job; false (errorText set) on failure. */
+bool
+sendNext(Lane &w, const JobWire &wire)
+{
+    const auto job = w.unsent.front();
+    if (!sendAll(w.fd, wire.head(job, w.attempt)) ||
+        !sendAll(w.fd, wire.tail)) {
+        w.errorText = std::string("send: ") + std::strerror(errno);
+        return false;
+    }
+    w.unsent.pop_front();
+    return true;
 }
 
 /**
- * Open a remote lane: connect (with backoff) and dispatch the first
- * kRemoteWindow job requests; the rest queue in `unsent` and flow as
- * results land, so the daemon always has work without a failure
- * losing more than a window's worth of in-flight requests. A lane
- * that cannot connect or send is returned born dead (fd == -1,
- * errorText set) for the caller to route through the failure path.
+ * Open a lane -- connect to hosts[hostIdx], or fork a local serve
+ * child when hostIdx is -1 -- and dispatch the first kWindow job
+ * requests. The rest queue in `unsent` and flow as results land, so
+ * the daemon always has work without a failure losing more than a
+ * window's worth of in-flight requests. A lane that cannot connect or
+ * send is returned born dead (fd == -1, errorText set) for the caller
+ * to route through the failure path.
  */
-WorkerProc
-spawnRemoteLane(int hostIdx, const HostSpec &host,
-                std::uint32_t attempt,
-                const std::vector<std::uint32_t> &jobs,
-                const RemoteJobBuilder &makeJob)
+Lane
+openLane(int hostIdx, const std::vector<HostSpec> &hosts,
+         const serve::ServerConfig &local, const std::vector<Lane> &lanes,
+         std::uint32_t attempt, const std::vector<std::uint32_t> &jobs,
+         const JobWire &wire)
 {
-    WorkerProc w;
-    w.remote = true;
+    Lane w;
     w.hostIdx = hostIdx;
     w.attempt = attempt;
     w.pending = jobs;
+    w.unsent.assign(jobs.begin(), jobs.end());
     w.lastActivityUs = CancelToken::nowUs();
 
     std::string err;
-    const int fd = connectHost(host, err);
-    if (fd < 0) {
+    w.fd = w.remote()
+               ? connectHost(hosts[static_cast<std::size_t>(hostIdx)], err)
+               : forkServeLane(local, lanes, w.pid);
+    if (w.fd < 0) {
         w.errorText = err;
         return w;
     }
-    const std::size_t window = std::min(jobs.size(), kRemoteWindow);
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-        if (k < window) {
-            if (!sendAll(fd, makeJob(jobs[k], attempt))) {
-                w.errorText = "send " + host.label() + ": " +
-                              std::strerror(errno);
-                ::close(fd);
-                return w;
-            }
-        } else {
-            w.unsent.push_back(jobs[k]);
+    const int flags = ::fcntl(w.fd, F_GETFL, 0);
+    ::fcntl(w.fd, F_SETFL, flags | O_NONBLOCK);
+    for (std::int64_t k = 0; k < kWindow && !w.unsent.empty(); ++k) {
+        if (!sendNext(w, wire)) {
+            ::close(w.fd);
+            w.fd = -1;
+            break;
         }
     }
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    w.fd = fd;
     return w;
 }
 
 /**
- * SIGTERM forked workers, give kDrainUs to exit, SIGKILL stragglers.
- * Remote lanes just close: the daemon's reader sees EOF and
- * Disconnect-cancels every in-flight job, so a Ctrl-C here leaves no
- * orphaned work on any host.
+ * Close every lane, then give forked children kDrainUs to exit before
+ * SIGKILL. Each daemon's reader sees EOF and Disconnect-cancels its
+ * in-flight jobs -- a forked lane and a remote host alike -- so a
+ * Ctrl-C here leaves no orphaned work anywhere.
  */
 void
-terminateAll(std::vector<WorkerProc> &procs)
+terminateAll(std::vector<Lane> &lanes)
 {
-    for (auto &w : procs) {
-        if (w.remote) {
-            if (w.fd >= 0) {
-                ::close(w.fd);
-                w.fd = -1;
-            }
-        } else if (w.fd >= 0 && w.pid > 0) {
-            ::kill(w.pid, SIGTERM);
+    for (auto &w : lanes) {
+        if (w.fd >= 0) {
+            ::close(w.fd);
+            w.fd = -1;
         }
     }
     const std::int64_t deadline = CancelToken::nowUs() + kDrainUs;
-    for (auto &w : procs) {
-        if (w.fd < 0 || w.pid <= 0)
+    for (auto &w : lanes) {
+        if (w.pid <= 0)
             continue;
         int status = 0;
-        for (;;) {
-            const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-            if (r == w.pid || (r < 0 && errno == ECHILD))
-                break;
+        while (::waitpid(w.pid, &status, WNOHANG) == 0) {
             if (CancelToken::nowUs() >= deadline) {
                 ::kill(w.pid, SIGKILL);
                 ::waitpid(w.pid, &status, 0);
@@ -199,8 +237,6 @@ terminateAll(std::vector<WorkerProc> &procs)
             }
             ::usleep(20'000);
         }
-        ::close(w.fd);
-        w.fd = -1;
         w.pid = -1;
     }
 }
@@ -216,21 +252,19 @@ describeExit(int status)
 }
 
 /**
- * Drive every lane to completion: poll pipe and socket fds, dispatch
+ * Drive every lane to completion: poll the lane sockets, dispatch
  * result documents, reap crashed/hung lanes and requeue their
  * unfinished jobs (at most once per shard) onto a surviving remote
- * host or a fresh forked worker. Throws CancelledError when @p cancel
+ * host or a fresh forked lane. Throws CancelledError when @p cancel
  * fires, std::runtime_error when a shard fails twice.
  */
 void
 runShards(const std::vector<std::vector<std::uint32_t>> &shards,
-          const DistOptions &options, const CancelToken *cancel,
-          const RequestBuilder &makeRequest,
-          const RemoteJobBuilder &makeJob, const ResultHandler &onResult,
-          DistStats &stats, obs::TraceEventLog *traceLog,
-          const char *jobLabel)
+          const DistOptions &options, const serve::ServerConfig &local,
+          const CancelToken *cancel, const JobWire &wire,
+          const ResultHandler &onResult, DistStats &stats,
+          obs::TraceEventLog *traceLog, const char *jobLabel)
 {
-    SigpipeGuard sigpipe;
     const std::int64_t timeoutUs =
         std::max<std::int64_t>(options.workerTimeoutMs, 1) * 1000;
     const auto &hosts = options.hosts;
@@ -240,19 +274,14 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
     // must not inherit the same fault.
     std::vector<char> hostDead(hosts.size(), 0);
 
-    std::vector<WorkerProc> procs;
+    std::vector<Lane> lanes;
     /** hostIdx >= 0: remote lane on hosts[hostIdx]; -1: forked. */
     const auto addSlot = [&](const std::vector<std::uint32_t> &jobs,
                              std::uint32_t attempt, int hostIdx) {
-        const auto slot = static_cast<std::uint32_t>(procs.size());
-        if (hostIdx >= 0)
-            procs.push_back(
-                spawnRemoteLane(hostIdx,
-                                hosts[static_cast<std::size_t>(hostIdx)],
-                                attempt, jobs, makeJob));
-        else
-            procs.push_back(
-                spawnWorker(slot, attempt, jobs, makeRequest));
+        const auto slot = static_cast<std::uint32_t>(lanes.size());
+        Lane lane = openLane(hostIdx, hosts, local, lanes, attempt, jobs,
+                             wire);
+        lanes.push_back(std::move(lane));
         stats.jobs.push_back(0);
         stats.cacheHits.push_back(0);
         stats.wallUsSum.push_back(0);
@@ -260,7 +289,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             hostIdx >= 0
                 ? hosts[static_cast<std::size_t>(hostIdx)].label()
                 : "");
-        stats.workers = static_cast<std::uint32_t>(procs.size());
+        stats.workers = static_cast<std::uint32_t>(lanes.size());
         if constexpr (obs::kEnabled) {
             if (traceLog)
                 traceLog->threadName(
@@ -277,24 +306,25 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
     // can recurse (depth bounded by the two-attempt cap).
     std::function<void(std::uint32_t)> reap =
         [&](std::uint32_t slot) {
-        auto &w = procs[slot];
+        auto &w = lanes[slot];
         if (w.fd >= 0) {
             ::close(w.fd);
             w.fd = -1;
         }
         int status = 0;
-        if (!w.remote) {
+        if (w.pid > 0) {
+            // A failed lane may still be computing; it owes nothing.
+            // A finished one exits on the EOF it just got.
+            if (w.timedOut || !w.errorText.empty())
+                ::kill(w.pid, SIGKILL);
             ::waitpid(w.pid, &status, 0);
             w.pid = -1;
         }
 
-        const bool clean =
-            w.pending.empty() && w.unsent.empty() &&
-            w.errorText.empty() && !w.timedOut &&
-            (w.remote ? true
-                      : w.doneSeen && WIFEXITED(status) &&
-                            WEXITSTATUS(status) == 0);
-        if (clean)
+        const bool exitedClean =
+            w.remote() || (WIFEXITED(status) && WEXITSTATUS(status) == 0);
+        if (w.pending.empty() && w.errorText.empty() && !w.timedOut &&
+            exitedClean)
             return;
 
         std::string reason;
@@ -302,40 +332,36 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             reason = "timeout";
         else if (!w.errorText.empty())
             reason = w.errorText;
-        else if (!w.remote && w.doneSeen && !w.pending.empty())
-            reason = "protocol: done with " +
-                     std::to_string(w.pending.size()) + " jobs pending";
-        else if (w.remote)
+        else if (w.remote())
             reason = "connection closed";
         else
             reason = describeExit(status);
 
         // Lost work: results never arrive for dispatched-but-unfinished
-        // jobs (pending) nor for the queued window tail (unsent ⊆
-        // pending for remote lanes; empty for forked ones).
+        // jobs nor for the queued window tail (unsent is a subset of
+        // pending).
         std::vector<std::uint32_t> lost = w.pending;
         std::sort(lost.begin(), lost.end());
 
-        if (w.remote && w.hostIdx >= 0)
-            hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
-
         WorkerFailure failure;
         failure.worker = slot;
-        if (w.remote && w.hostIdx >= 0)
+        if (w.remote()) {
+            hostDead[static_cast<std::size_t>(w.hostIdx)] = 1;
             failure.host =
                 hosts[static_cast<std::size_t>(w.hostIdx)].label();
+        }
         failure.reason = reason;
         failure.requeuedJobs = lost;
         stats.failures.push_back(failure);
-        warn("dist: ", w.remote ? "host lane " : "worker ", slot,
-             w.remote ? " (" + failure.host + ")" : std::string(),
+        warn("dist: ", w.remote() ? "host lane " : "worker ", slot,
+             w.remote() ? " (" + failure.host + ")" : std::string(),
              " failed (", reason, "), ", lost.size(),
              " job(s) to requeue");
 
         if (lost.empty())
             return; // every assigned job already landed; nothing lost
         if (w.attempt >= 2) {
-            terminateAll(procs);
+            terminateAll(lanes);
             throw std::runtime_error(
                 "dist: shard failed twice (last: " + reason +
                 "); aborting");
@@ -345,7 +371,7 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
         w.unsent.clear();
 
         // Requeue onto the first surviving host, else a forked local
-        // worker — the run converges as long as one backend exists.
+        // lane -- the run converges as long as one backend exists.
         int target = -1;
         for (std::size_t h = 0; h < hosts.size(); ++h) {
             if (!hostDead[h]) {
@@ -354,92 +380,81 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             }
         }
         const auto fresh = addSlot(lost, nextAttempt, target);
-        if (procs[fresh].remote && procs[fresh].fd < 0)
+        if (lanes[fresh].fd < 0)
             reap(fresh); // born dead (connect/send failed): recurse
     };
 
-    // Shared Result/Done/Error handling for both wire formats. On a
-    // protocol violation errorText gets a "protocol: " prefix, which
-    // the pipe path translates into SIGKILL.
-    const auto dispatch = [&](std::uint32_t slot,
-                              const WorkerMsg &msg) {
-        auto &w = procs[slot];
+    // One serve reply line; any failure lands in errorText, with a
+    // "protocol: " prefix when the lane broke the protocol.
+    const auto onLine = [&](std::uint32_t slot, const std::string &line) {
+        auto &w = lanes[slot];
+        const auto reply = serve::parseReply(line);
+        if (!reply) {
+            w.errorText = "protocol: unparseable reply";
+            return;
+        }
+        if (!reply->ok) {
+            w.errorText = reply->code + ": " + reply->message;
+            return;
+        }
+        std::string err;
+        const auto msg = serve::parseWorkerMsg(reply->result, err);
+        if (!msg) {
+            w.errorText = "protocol: " + err;
+            return;
+        }
+        const auto it =
+            std::find(w.pending.begin(), w.pending.end(), msg->index);
+        if (it == w.pending.end()) {
+            w.errorText = "protocol: unexpected result for job " +
+                          std::to_string(msg->index);
+            return;
+        }
+        w.pending.erase(it);
         w.lastActivityUs = CancelToken::nowUs();
-        switch (msg.kind) {
-        case WorkerMsg::Kind::Result: {
-            const auto it = std::find(w.pending.begin(),
-                                      w.pending.end(), msg.index);
-            if (it == w.pending.end()) {
-                w.errorText = "protocol: unexpected result for job " +
-                              std::to_string(msg.index);
-                break;
+        ++stats.jobs[slot];
+        if (msg->cached)
+            ++stats.cacheHits[slot];
+        stats.wallUsSum[slot] += msg->wallUs;
+        if constexpr (obs::kEnabled) {
+            if (traceLog) {
+                const std::int64_t arrival = obs::wallMicros();
+                traceLog->complete(
+                    std::string(jobLabel) + " " +
+                        std::to_string(msg->index),
+                    obs::kPidDist, slot, arrival - msg->wallUs,
+                    std::max<std::int64_t>(msg->wallUs, 1),
+                    "\"cached\": " +
+                        std::string(msg->cached ? "true" : "false"));
             }
-            w.pending.erase(it);
-            ++stats.jobs[slot];
-            if (msg.cached)
-                ++stats.cacheHits[slot];
-            stats.wallUsSum[slot] += msg.wallUs;
-            if constexpr (obs::kEnabled) {
-                if (traceLog) {
-                    const std::int64_t arrival = obs::wallMicros();
-                    traceLog->complete(
-                        std::string(jobLabel) + " " +
-                            std::to_string(msg.index),
-                        obs::kPidDist, slot, arrival - msg.wallUs,
-                        std::max<std::int64_t>(msg.wallUs, 1),
-                        "\"cached\": " +
-                            std::string(msg.cached ? "true" : "false"));
-                }
-            }
-            onResult(msg, slot);
-            // Keep the remote window full; an empty pending set is
-            // this lane's `done`.
-            if (w.remote) {
-                if (!w.unsent.empty()) {
-                    const auto next = w.unsent.front();
-                    if (sendAll(w.fd, makeJob(next, w.attempt)))
-                        w.unsent.pop_front();
-                    else
-                        w.errorText = std::string("send: ") +
-                                      std::strerror(errno);
-                } else if (w.pending.empty()) {
-                    w.doneSeen = true;
-                }
-            }
-            break;
         }
-        case WorkerMsg::Kind::Done:
-            w.doneSeen = true;
-            break;
-        case WorkerMsg::Kind::Error:
-            w.errorText = msg.code + ": " + msg.message;
-            break;
-        }
+        onResult(*msg, slot);
+        if (!w.unsent.empty())
+            (void)sendNext(w, wire); // keep the window full
     };
 
     for (std::size_t i = 0; i < shards.size(); ++i)
         addSlot(shards[i], 1,
                 i < remoteLanes ? static_cast<int>(i) : -1);
-    // Route lanes that never connected through the failure path now.
-    // (pending nonempty distinguishes an unprocessed born-dead lane
-    // from one reap() already requeued recursively.)
+    // Route lanes born dead through the failure path now. (Pending
+    // nonempty tells an unprocessed one from one reap() already
+    // requeued recursively.)
     for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(procs.size()); ++i)
-        if (procs[i].remote && procs[i].fd < 0 &&
-            !procs[i].errorText.empty() && !procs[i].pending.empty())
+         i < static_cast<std::uint32_t>(lanes.size()); ++i)
+        if (lanes[i].fd < 0 && !lanes[i].pending.empty())
             reap(i);
 
     while (true) {
         if (cancel && cancel->cancelled()) {
-            terminateAll(procs);
+            terminateAll(lanes);
             throw CancelledError(cancel->reason());
         }
 
         std::vector<pollfd> fds;
         std::vector<std::uint32_t> slotOf;
-        for (std::uint32_t i = 0; i < procs.size(); ++i) {
-            if (procs[i].fd >= 0) {
-                fds.push_back({procs[i].fd, POLLIN, 0});
+        for (std::uint32_t i = 0; i < lanes.size(); ++i) {
+            if (lanes[i].fd >= 0) {
+                fds.push_back({lanes[i].fd, POLLIN, 0});
                 slotOf.push_back(i);
             }
         }
@@ -455,111 +470,55 @@ runShards(const std::vector<std::vector<std::uint32_t>> &shards,
             if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             const std::uint32_t slot = slotOf[k];
-            if (procs[slot].fd < 0)
+            if (lanes[slot].fd < 0)
                 continue; // already reaped this tick
 
             bool eof = false;
             char buf[65536];
             for (;;) {
-                auto &w = procs[slot];
+                auto &w = lanes[slot];
                 const ssize_t n = ::read(w.fd, buf, sizeof buf);
                 if (n > 0) {
-                    if (w.remote)
-                        w.lineBuf.append(
-                            buf, static_cast<std::size_t>(n));
-                    else
-                        w.frames.append(
-                            buf, static_cast<std::size_t>(n));
+                    w.lineBuf.append(buf, static_cast<std::size_t>(n));
                     continue;
                 }
-                if (n == 0) {
-                    eof = true;
-                    break;
-                }
-                if (errno == EINTR)
+                if (n < 0 && errno == EINTR)
                     continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    break;
-                eof = true;
+                eof = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
                 break;
             }
 
-            if (procs[slot].remote) {
-                // Remote lane: one serve reply per line; an ok reply
-                // wraps the identical job-wire result document.
-                auto &w = procs[slot];
-                std::size_t start = 0;
-                for (;;) {
-                    const auto nl = w.lineBuf.find('\n', start);
-                    if (nl == std::string::npos)
-                        break;
-                    const std::string line =
-                        w.lineBuf.substr(start, nl - start);
-                    start = nl + 1;
-                    if (line.empty())
-                        continue;
-                    const auto reply = serve::parseReply(line);
-                    if (!reply) {
-                        w.errorText = "protocol: unparseable reply";
-                        break;
-                    }
-                    if (!reply->ok) {
-                        w.errorText =
-                            reply->code + ": " + reply->message;
-                        break;
-                    }
-                    std::string err;
-                    const auto msg =
-                        parseWorkerMsg(reply->result, err);
-                    if (!msg) {
-                        w.errorText = "protocol: " + err;
-                        break;
-                    }
-                    dispatch(slot, *msg);
-                    if (!w.errorText.empty())
-                        break;
-                }
-                w.lineBuf.erase(0, start);
-                if (w.errorText.empty() &&
-                    w.lineBuf.size() > serve::kMaxRequestBytes)
-                    w.errorText = "protocol: oversized reply line";
-                if (!w.errorText.empty() || eof || w.doneSeen)
-                    reap(slot);
-                continue;
-            }
-
-            auto &w = procs[slot];
-            while (auto payload = w.frames.next()) {
-                std::string err;
-                const auto msg = parseWorkerMsg(*payload, err);
-                if (!msg) {
-                    w.errorText = "protocol: " + err;
+            // One serve reply per line; an ok reply wraps the job's
+            // result document.
+            auto &w = lanes[slot];
+            std::size_t start = 0;
+            for (;;) {
+                const auto nl = w.lineBuf.find('\n', start);
+                if (nl == std::string::npos)
                     break;
-                }
-                dispatch(slot, *msg);
+                const std::string line =
+                    w.lineBuf.substr(start, nl - start);
+                start = nl + 1;
+                if (!line.empty())
+                    onLine(slot, line);
                 if (!w.errorText.empty())
                     break;
             }
-            if (w.frames.corrupt() && w.errorText.empty())
-                w.errorText = "protocol: corrupt frame stream";
-            // A protocol violation means the worker is off the rails;
-            // stop it now instead of draining its stream.
-            if (w.errorText.rfind("protocol:", 0) == 0 && w.pid > 0)
-                ::kill(w.pid, SIGKILL);
-            if (eof)
+            w.lineBuf.erase(0, start);
+            if (w.errorText.empty() &&
+                w.lineBuf.size() > serve::kMaxRequestBytes)
+                w.errorText = "protocol: oversized reply line";
+            if (!w.errorText.empty() || eof || w.pending.empty())
                 reap(slot);
         }
 
-        // Hang detection: no result and no done for the whole window.
-        // A stalled socket and a stalled pipe are the same condition;
-        // only the cleanup differs (close vs SIGKILL).
+        // Hang detection: no result for the whole window. Only the
+        // cleanup differs by lane kind (SIGKILL vs close).
         const std::int64_t now = CancelToken::nowUs();
-        for (std::uint32_t i = 0; i < procs.size(); ++i) {
-            auto &w = procs[i];
+        for (std::uint32_t i = 0; i < lanes.size(); ++i) {
+            auto &w = lanes[i];
             if (w.fd >= 0 && now - w.lastActivityUs > timeoutUs) {
                 w.timedOut = true;
-                if (!w.remote && w.pid > 0)
-                    ::kill(w.pid, SIGKILL);
                 reap(i);
             }
         }
@@ -702,34 +661,13 @@ exploreDistributed(const trace::Trace &trace,
         for (auto &shard : shards)
             std::sort(shard.begin(), shard.end());
 
-        const auto makeRequest =
-            [&](std::uint32_t slot, std::uint32_t attempt,
-                const std::vector<std::uint32_t> &assigned) {
-                ShardRequest req;
-                req.cmd = "explore_shard";
-                req.worker = slot;
-                req.attempt = attempt;
-                req.traceText = patternBytes;
-                req.jobs = assigned;
-                for (const auto j : assigned)
-                    req.sigs.push_back(sigs[j]);
-                req.grid = config.grid;
-                req.reconfigCost = config.phaseReconfigCost;
-                req.cacheDir = config.cacheDir;
-                req.useCache = config.useCache;
-                req.mergeThreshold =
-                    config.phaseSegmenter.mergeThreshold;
-                req.minPhaseWindows =
-                    config.phaseSegmenter.minPhaseWindows;
-                req.matrixWeight = config.phaseSegmenter.matrixWeight;
-                req.power = topo::powerModelKindName(config.power.kind);
-                return encodeShardRequest(req);
-            };
-        // Remote lanes dispatch one `dse_job` per grid point; the
-        // daemon uses its own disk cache, so `cache_dir` never crosses
-        // the socket.
-        const auto makeJob = [&](std::uint32_t job,
-                                 std::uint32_t attempt) {
+        // One `dse_job` per grid point. A remote daemon uses its own
+        // disk cache, so `cache_dir` never crosses the socket; a forked
+        // lane's daemon is configured with this run's cache.
+        const auto deadlineMs = requestDeadlineMs(options);
+        JobWire wire;
+        wire.setTrace(patternBytes);
+        wire.head = [&](std::uint32_t job, std::uint32_t attempt) {
             const auto &p = jobs[job];
             std::string out = "{\"id\": \"" + std::to_string(job) +
                               "\", \"cmd\": \"dse_job\"";
@@ -749,25 +687,26 @@ exploreDistributed(const trace::Trace &trace,
             out += ", \"reconfig_cost\": " +
                    std::to_string(config.phaseReconfigCost);
             out += ", \"threshold\": " +
-                   fmtDouble(config.phaseSegmenter.mergeThreshold);
+                   serve::fmtDouble(config.phaseSegmenter.mergeThreshold);
             out += ", \"min_phase_windows\": " +
                    std::to_string(config.phaseSegmenter.minPhaseWindows);
             out += ", \"matrix_weight\": " +
-                   fmtDouble(config.phaseSegmenter.matrixWeight);
+                   serve::fmtDouble(config.phaseSegmenter.matrixWeight);
             // Only off the default tier: static requests stay
             // byte-identical to what pre-power daemons accept.
             if (config.power.kind != topo::PowerModelKind::Static)
                 out += std::string(", \"power\": \"") +
                        topo::powerModelKindName(config.power.kind) +
                        "\"";
-            out += ", \"deadline_ms\": " +
-                   std::to_string(std::max<std::int64_t>(
-                       options.workerTimeoutMs, 1));
-            out += ", \"trace\": \"" + serve::jsonEscape(patternBytes) +
-                   "\"}\n";
+            out += ", \"deadline_ms\": " + std::to_string(deadlineMs);
             return out;
         };
-        const auto onResult = [&](const WorkerMsg &msg,
+        std::size_t longestHead = 0;
+        for (std::uint32_t j = 0; j < jobs.size(); ++j)
+            longestHead = std::max(longestHead, wire.head(j, 2).size());
+        checkJobLineSize(longestHead, wire);
+
+        const auto onResult = [&](const serve::WorkerMsg &msg,
                                   std::uint32_t /*slot*/) {
             dse::DsePoint pt;
             pt.params = jobs[msg.index];
@@ -776,8 +715,10 @@ exploreDistributed(const trace::Trace &trace,
             dse::recordJobPoint(config, msg.index, pt);
             report.points[msg.index] = std::move(pt);
         };
-        runShards(shards, options, config.cancel, makeRequest, makeJob,
-                  onResult, stats, config.traceLog, "job");
+        runShards(shards, options,
+                  laneConfig(options, config.cacheDir, config.useCache),
+                  config.cancel, wire, onResult, stats, config.traceLog,
+                  "job");
     }
 
     dse::finalizeReport(report, config);
@@ -790,18 +731,68 @@ evaluatePhasesDistributed(const trace::Trace &trace,
                           const phase::PhaseEvalConfig &config,
                           const DistOptions &options, DistStats *statsOut)
 {
-    const phase::Segmentation seg =
-        phase::segmentTrace(trace, config.segmenter);
-
     DistStats localStats;
     DistStats &stats = statsOut ? *statsOut : localStats;
     stats = DistStats{};
+
+    if (config.methodology.partitioner.seed > (1ull << 53))
+        fatal("dist: seed ", config.methodology.partitioner.seed,
+              " exceeds the wire's exact integer range");
+    std::ostringstream patternStream;
+    trace.save(patternStream);
+    const std::string sig = serve::phasesSignature(config);
+    const auto deadlineMs = requestDeadlineMs(options);
+    // One `phase_job` per phase.
+    const auto phaseHead = [&](std::uint32_t job, std::uint32_t attempt,
+                               std::uint32_t expectedPhases) {
+        std::string out = "{\"id\": \"" + std::to_string(job) +
+                          "\", \"cmd\": \"phase_job\"";
+        out += ", \"attempt\": " + std::to_string(attempt);
+        out += ", \"job_index\": " + std::to_string(job);
+        out += ", \"sig\": \"" + serve::jsonEscape(sig) + "\"";
+        out += ", \"window\": " +
+               std::to_string(config.segmenter.windowMessages);
+        out += ", \"threshold\": " +
+               serve::fmtDouble(config.segmenter.mergeThreshold);
+        out += ", \"min_phase_windows\": " +
+               std::to_string(config.segmenter.minPhaseWindows);
+        out += ", \"matrix_weight\": " +
+               serve::fmtDouble(config.segmenter.matrixWeight);
+        out += ", \"max_degree\": " +
+               std::to_string(
+                   config.methodology.partitioner.constraints.maxDegree);
+        out += ", \"restarts\": " +
+               std::to_string(config.methodology.restarts);
+        out += ", \"seed\": " +
+               std::to_string(config.methodology.partitioner.seed);
+        out += ", \"reconfig_cost\": " +
+               std::to_string(config.reconfigCost);
+        out += ", \"expected_phases\": " + std::to_string(expectedPhases);
+        if (config.power.kind != topo::PowerModelKind::Static)
+            out += std::string(", \"power\": \"") +
+                   topo::powerModelKindName(config.power.kind) + "\"";
+        out += ", \"deadline_ms\": " + std::to_string(deadlineMs);
+        return out;
+    };
+    JobWire wire;
+    wire.setTrace(patternStream.str());
+    // Size-checked before any whole-trace work: no trace has more
+    // phases than messages, so this head is the longest possible.
+    if (const auto bound = static_cast<std::uint32_t>(trace.numSends()))
+        checkJobLineSize(phaseHead(bound - 1, 2, bound).size(), wire);
+
+    const phase::Segmentation seg =
+        phase::segmentTrace(trace, config.segmenter);
+    const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
+    wire.head = [&](std::uint32_t job, std::uint32_t attempt) {
+        return phaseHead(job, attempt, nPhases);
+    };
 
     // Whole-trace artifacts stay in-process: the monolithic and union
     // designs need the full workload, and the per-phase standalone
     // designs (the bulk of the work) never feed into them — see
     // DESIGN.md §5j. The restart pool is scoped so no extra threads
-    // exist when the workers fork below.
+    // exist when the lanes fork below.
     phase::MultiPhaseResult multi;
     {
         std::uint32_t threads =
@@ -826,17 +817,8 @@ evaluatePhasesDistributed(const trace::Trace &trace,
     for (const auto &v : multi.unionPhaseViolations)
         unionViolations.push_back(v.size());
 
-    const auto nPhases = static_cast<std::uint32_t>(seg.phases.size());
     std::vector<phase::PhaseRowEval> rows(nPhases);
     if (nPhases > 0) {
-        if (config.methodology.partitioner.seed > (1ull << 53))
-            fatal("dist: seed ", config.methodology.partitioner.seed,
-                  " exceeds the wire's exact integer range");
-        std::ostringstream patternStream;
-        trace.save(patternStream);
-        const std::string traceText = patternStream.str();
-        const std::string sig = phasesSignature(config);
-
         const auto n = std::max<std::uint32_t>(
             1, std::min<std::uint32_t>(
                    options.workers +
@@ -847,71 +829,13 @@ evaluatePhasesDistributed(const trace::Trace &trace,
         for (std::uint32_t p = 0; p < nPhases; ++p)
             shards[p % n].push_back(p);
 
-        const auto makeRequest =
-            [&](std::uint32_t slot, std::uint32_t attempt,
-                const std::vector<std::uint32_t> &assigned) {
-                ShardRequest req;
-                req.cmd = "phases_shard";
-                req.worker = slot;
-                req.attempt = attempt;
-                req.traceText = traceText;
-                req.jobs = assigned;
-                req.sigs.assign(assigned.size(), sig);
-                req.window = config.segmenter.windowMessages;
-                req.mergeThreshold = config.segmenter.mergeThreshold;
-                req.minPhaseWindows = config.segmenter.minPhaseWindows;
-                req.matrixWeight = config.segmenter.matrixWeight;
-                req.maxDegree =
-                    config.methodology.partitioner.constraints.maxDegree;
-                req.restarts = config.methodology.restarts;
-                req.seed = config.methodology.partitioner.seed;
-                req.reconfigCost = config.reconfigCost;
-                req.expectedPhases = nPhases;
-                req.power = topo::powerModelKindName(config.power.kind);
-                return encodeShardRequest(req);
-            };
-        const auto makeJob = [&](std::uint32_t job,
-                                 std::uint32_t attempt) {
-            std::string out = "{\"id\": \"" + std::to_string(job) +
-                              "\", \"cmd\": \"phase_job\"";
-            out += ", \"attempt\": " + std::to_string(attempt);
-            out += ", \"job_index\": " + std::to_string(job);
-            out += ", \"sig\": \"" + serve::jsonEscape(sig) + "\"";
-            out += ", \"window\": " +
-                   std::to_string(config.segmenter.windowMessages);
-            out += ", \"threshold\": " +
-                   fmtDouble(config.segmenter.mergeThreshold);
-            out += ", \"min_phase_windows\": " +
-                   std::to_string(config.segmenter.minPhaseWindows);
-            out += ", \"matrix_weight\": " +
-                   fmtDouble(config.segmenter.matrixWeight);
-            out += ", \"max_degree\": " +
-                   std::to_string(config.methodology.partitioner
-                                      .constraints.maxDegree);
-            out += ", \"restarts\": " +
-                   std::to_string(config.methodology.restarts);
-            out += ", \"seed\": " +
-                   std::to_string(config.methodology.partitioner.seed);
-            out += ", \"reconfig_cost\": " +
-                   std::to_string(config.reconfigCost);
-            out += ", \"expected_phases\": " + std::to_string(nPhases);
-            if (config.power.kind != topo::PowerModelKind::Static)
-                out += std::string(", \"power\": \"") +
-                       topo::powerModelKindName(config.power.kind) +
-                       "\"";
-            out += ", \"deadline_ms\": " +
-                   std::to_string(std::max<std::int64_t>(
-                       options.workerTimeoutMs, 1));
-            out += ", \"trace\": \"" + serve::jsonEscape(traceText) +
-                   "\"}\n";
-            return out;
-        };
-        const auto onResult = [&](const WorkerMsg &msg,
+        const auto onResult = [&](const serve::WorkerMsg &msg,
                                   std::uint32_t /*slot*/) {
             rows.at(msg.index) = msg.row;
         };
-        runShards(shards, options, config.methodology.cancel,
-                  makeRequest, makeJob, onResult, stats,
+        // Phase jobs never touch the disk cache.
+        runShards(shards, options, laneConfig(options, "", false),
+                  config.methodology.cancel, wire, onResult, stats,
                   config.traceLog, "phase");
     }
 

@@ -2,33 +2,40 @@
  * @file
  * Multi-process exploration coordinator.
  *
- * Forks N workers, shards the job grid over them by content hash
- * (each job's cache key orders the jobs deterministically; shards are
- * dealt round-robin off that order, so they are balanced to ±1 job and
- * independent of grid layout), streams results back over pipes, and
- * merges them through the exact finalization path the in-process
- * explorer uses. Reports are therefore byte-identical to
- * `--workers 1` and to the single-process run by construction.
+ * Every lane is a `minnoc serve` daemon spoken to over one socket with
+ * one NDJSON `dse_job`/`phase_job` request per job. A local lane
+ * (`--workers`) is a forked child running serve::Server on one end of
+ * a socketpair; a remote lane (`--hosts`) is a TCP connection to a
+ * running daemon. Only three things differ between the two: how the
+ * fd is obtained (fork + socketpair vs connect), the cleanup
+ * (waitpid/SIGKILL vs close) and where a failure is reported
+ * (`worker_failed` vs `host_failed`).
  *
- * With DistOptions::hosts set, the leading lanes are remote `minnoc
- * serve` daemons instead of forked processes: the same shards, dealt
- * by the same rule, dispatched one `dse_job`/`phase_job` request per
- * job over TCP (windowed, so a daemon always has work queued). Both
- * backends return the identical per-job result documents, so any mix
- * of hosts and forked workers produces the same report bytes.
+ * The job grid is sharded by content hash (each job's cache key orders
+ * the jobs deterministically; shards are dealt round-robin off that
+ * order, so they are balanced to +-1 job and independent of grid
+ * layout). Each lane keeps a window of requests in flight, and the
+ * per-job result documents (serve/jobwire.*) are merged through the
+ * exact finalization path the in-process explorer uses. Reports are
+ * therefore byte-identical to the single-process run at any mix of
+ * workers and hosts, by construction.
  *
- * Fault handling: a worker that crashes, reports an error, or goes
- * silent past the activity timeout is reaped (SIGKILL if necessary)
- * and its *unfinished* jobs are requeued once onto a fresh worker;
- * jobs the dead worker already stored in the shared cache are not
- * recomputed. A second failure on the same shard is fatal. Every
- * failure is recorded in DistStats and surfaced as `worker_failed`
- * in the dist status JSON — never in the explore report itself, whose
- * bytes stay crash-independent.
+ * Fault handling: a lane that crashes, answers with an error, or goes
+ * silent past the activity timeout is reaped (SIGKILL for a forked
+ * lane) and its *unfinished* jobs are requeued once onto a surviving
+ * host or a fresh forked lane; jobs the dead lane already delivered
+ * are not recomputed. A second failure on the same shard is fatal.
+ * Every failure is recorded in DistStats and surfaced in the dist
+ * status JSON -- never in the explore report itself, whose bytes stay
+ * crash-independent. The chaos hooks MINNOC_DIST_TEST_CRASH=serve and
+ * MINNOC_DIST_TEST_HANG=serve make any daemon, forked or remote, exit
+ * 42 or stop answering at its second job on attempt 1.
  *
  * Cancellation: the caller's CancelToken is polled every scheduler
- * tick; once fired, workers get SIGTERM, a short drain window, then
- * SIGKILL, and the coordinator unwinds with CancelledError.
+ * tick; once fired, every lane socket is closed (each daemon
+ * Disconnect-cancels its in-flight jobs), forked lanes get a short
+ * drain window, then SIGKILL, and the coordinator unwinds with
+ * CancelledError.
  */
 
 #ifndef MINNOC_DIST_COORDINATOR_HPP
@@ -47,54 +54,55 @@ namespace minnoc::dist {
 /** Knobs of one distributed run. */
 struct DistOptions
 {
-    /** Worker processes to fork (clamped to the job count, min 1). */
+    /** Local serve lanes to fork (clamped to the job count, min 1). */
     std::uint32_t workers = 2;
 
     /**
      * Remote `minnoc serve` daemons to drive as job backends, one
-     * lane each, ahead of the forked workers; `workers` may be 0 for
-     * an all-remote run. A dead daemon's unfinished jobs requeue onto
-     * a surviving host, or a forked local worker when none survives.
+     * lane each, ahead of the forked lanes; `workers` may be 0 for an
+     * all-remote run. A dead daemon's unfinished jobs requeue onto a
+     * surviving host, or a forked local lane when none survives.
      */
     std::vector<HostSpec> hosts;
 
     /**
-     * A worker producing no result for this long is presumed hung,
-     * killed, and its shard requeued. Generous by default: one DSE
-     * job on a large pattern can legitimately run minutes. For remote
-     * lanes this doubles as the per-request deadline sent to the
-     * daemon (subject to the daemon's own max-deadline clamp).
+     * A lane producing no result for this long is presumed hung,
+     * reaped, and its shard requeued. Generous by default: one DSE job
+     * on a large pattern can legitimately run minutes. Each request
+     * carries this times the dispatch window as its deadline, since
+     * serve counts the queue wait behind the lane's earlier requests
+     * (a remote daemon still clamps it to its own max deadline).
      */
     std::int64_t workerTimeoutMs = 600'000;
 };
 
-/** One reaped worker, for the status report. */
+/** One reaped lane, for the status report. */
 struct WorkerFailure
 {
-    std::uint32_t worker = 0; ///< worker slot
+    std::uint32_t worker = 0; ///< lane slot
     /** `host:port` when the slot was a remote lane; "" when local. */
     std::string host;
     std::string reason;       ///< "timeout", "exit 42", "signal 9", ...
-    /** Job indices requeued onto the replacement worker. */
+    /** Job indices requeued onto the replacement lane. */
     std::vector<std::uint32_t> requeuedJobs;
 };
 
-/** Per-worker accounting of one distributed run. */
+/** Per-lane accounting of one distributed run. */
 struct DistStats
 {
-    /** Worker slots used (initial workers + any replacements). */
+    /** Lane slots used (initial lanes + any replacements). */
     std::uint32_t workers = 0;
     std::vector<std::uint64_t> jobs;      ///< results per slot
     std::vector<std::uint64_t> cacheHits; ///< cached results per slot
     std::vector<std::int64_t> wallUsSum;  ///< summed job wall time
-    /** Per slot, the remote host label; "" for forked workers. */
+    /** Per slot, the remote host label; "" for forked lanes. */
     std::vector<std::string> hostOf;
     std::vector<WorkerFailure> failures;
 
     /**
      * Deterministic-shape status JSON (wall times are wall times; the
      * shape and counts are reproducible, the durations are not):
-     * per-worker rows plus the `worker_failed` (forked workers) and
+     * per-lane rows plus the `worker_failed` (forked lanes) and
      * `host_failed` (remote lanes) arrays.
      */
     std::string toJson(const std::string &task) const;
@@ -103,10 +111,12 @@ struct DistStats
 /**
  * Distributed dse::explore. Identical output to explore(trace, config)
  * — same points, same frontier, same JSON bytes — with the grid
- * fanned out over DistOptions::workers processes sharing the disk
- * cache. config.threads is ignored (parallelism is process-level);
+ * fanned out over the lanes, forked ones sharing the disk cache.
+ * config.threads is ignored (parallelism is process-level);
  * config.cancel is honored at scheduler-tick granularity here and at
- * job granularity inside each worker.
+ * job granularity inside each daemon. A trace whose job requests
+ * would exceed serve's line limit (serve::kMaxRequestBytes) is
+ * refused with fatal() before any lane starts.
  */
 dse::ExploreReport exploreDistributed(const trace::Trace &trace,
                                       const dse::ExploreConfig &config,
@@ -117,8 +127,8 @@ dse::ExploreReport exploreDistributed(const trace::Trace &trace,
  * Distributed phase::evaluatePhases: the coordinator segments the
  * trace and synthesizes the monolithic + union designs (they depend
  * on the whole trace), while the per-phase standalone synthesis and
- * replay — the bulk of the work — is sharded over workers. Byte-
- * identical to the in-process report.
+ * replay — the bulk of the work — is sharded over the lanes. Byte-
+ * identical to the in-process report; the same size limit applies.
  */
 phase::PhaseReport
 evaluatePhasesDistributed(const trace::Trace &trace,

@@ -209,10 +209,10 @@ parseRequest(const std::string &line, RequestError &error)
 
     std::uint64_t u = 0;
     if (const auto *dl = root->find("deadline_ms")) {
-        if (!asUint(*dl, 86'400'000, u))
+        if (!asUint(*dl, kMaxDeadlineMs, u))
             return fail(error, ErrorCode::ValidationError,
-                        "'deadline_ms' must be an integer in "
-                        "[0, 86400000]");
+                        "'deadline_ms' must be an integer in [0, " +
+                            std::to_string(kMaxDeadlineMs) + "]");
         req.deadlineMs = static_cast<std::int64_t>(u);
     }
 

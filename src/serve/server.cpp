@@ -93,20 +93,17 @@ requestKey(const Request &req)
     return dse::fnv1a64(req.traceText, h);
 }
 
-/** Jobs this daemon has completed — arms the chaos hooks below. */
-std::atomic<std::uint64_t> gJobsCompleted{0};
-
 /**
- * True when the dist test hook @p env is set to "serve" (the
- * daemon-side spelling; pipe workers use their numeric slot), this is
- * the job's first dispatch attempt, and at least one job has already
- * completed — mirroring the pipe worker's after-first-result timing.
+ * True when the dist test hook @p env is set to "serve", this is the
+ * job's first dispatch attempt, and the daemon has already completed
+ * @p completed >= 1 jobs, so part of the lane's work is delivered
+ * before the fault.
  */
 bool
-serveHookFires(const char *env, std::uint32_t attempt)
+serveHookFires(const char *env, std::uint32_t attempt,
+               std::uint64_t completed)
 {
-    if (attempt != 1 ||
-        gJobsCompleted.load(std::memory_order_relaxed) == 0)
+    if (attempt != 1 || completed == 0)
         return false;
     const char *v = std::getenv(env);
     return v && std::string(v) == "serve";
@@ -114,11 +111,11 @@ serveHookFires(const char *env, std::uint32_t attempt)
 
 /** Simulated daemon crash / stalled socket, for the chaos tests. */
 void
-maybeInjectServeFault(std::uint32_t attempt)
+maybeInjectServeFault(std::uint32_t attempt, std::uint64_t completed)
 {
-    if (serveHookFires("MINNOC_DIST_TEST_CRASH", attempt))
+    if (serveHookFires("MINNOC_DIST_TEST_CRASH", attempt, completed))
         ::_exit(42);
-    if (serveHookFires("MINNOC_DIST_TEST_HANG", attempt)) {
+    if (serveHookFires("MINNOC_DIST_TEST_HANG", attempt, completed)) {
         // Stop responding; only the coordinator's activity timeout
         // (or killing the daemon) ends this.
         for (;;)
@@ -170,7 +167,7 @@ Server::~Server()
 }
 
 bool
-Server::start(std::string &error)
+Server::begin(std::string &error)
 {
     if (_started.exchange(true)) {
         error = "server already started";
@@ -186,6 +183,28 @@ Server::start(std::string &error)
         error = std::string("pipe: ") + std::strerror(errno);
         return false;
     }
+    return true;
+}
+
+void
+Server::launchWorkers()
+{
+    const unsigned inner = _config.innerThreads
+                               ? _config.innerThreads
+                               : std::thread::hardware_concurrency();
+    _innerPool = std::make_unique<ThreadPool>(inner);
+
+    const auto workers = _config.workers ? _config.workers : 1u;
+    _workers.reserve(workers);
+    for (std::uint32_t i = 0; i < workers; ++i)
+        _workers.emplace_back([this, i] { workerLoop(i); });
+}
+
+bool
+Server::start(std::string &error)
+{
+    if (!begin(error))
+        return false;
 
     if (!_config.socketPath.empty()) {
         sockaddr_un addr{};
@@ -245,16 +264,24 @@ Server::start(std::string &error)
         return false;
     }
 
-    const unsigned inner = _config.innerThreads
-                               ? _config.innerThreads
-                               : std::thread::hardware_concurrency();
-    _innerPool = std::make_unique<ThreadPool>(inner);
-
-    const auto workers = _config.workers ? _config.workers : 1u;
-    _workers.reserve(workers);
-    for (std::uint32_t i = 0; i < workers; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
+    launchWorkers();
     _acceptThread = std::jthread([this] { acceptLoop(); });
+    return true;
+}
+
+bool
+Server::serveConnection(int fd, std::string &error)
+{
+    if (!begin(error))
+        return false;
+    launchWorkers();
+    const auto conn = adopt(fd);
+    {
+        const std::scoped_lock lock(_connsMutex);
+        _conns.emplace_back(conn, std::jthread());
+    }
+    readerLoop(conn); // returns on EOF, Disconnect-cancelling its jobs
+    stop();
     return true;
 }
 
@@ -365,6 +392,20 @@ Server::stop()
     LogConfig::instance().fatalThrows(false);
 }
 
+std::shared_ptr<Server::Conn>
+Server::adopt(int fd)
+{
+    // Bounded socket waits keep readers stop-aware (recv) and keep a
+    // stalled client from pinning a worker forever (send).
+    timeval rcv{0, 200'000};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
+    timeval snd{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
+    auto conn = std::make_shared<Conn>();
+    conn->fd = fd;
+    return conn;
+}
+
 void
 Server::acceptLoop()
 {
@@ -384,16 +425,7 @@ Server::acceptLoop()
         const int fd = ::accept(_listenFd, nullptr, nullptr);
         if (fd < 0)
             continue;
-
-        // Bounded socket waits keep readers stop-aware (recv) and keep
-        // a stalled client from pinning a worker forever (send).
-        timeval rcv{0, 200'000};
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
-        timeval snd{5, 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
-
-        auto conn = std::make_shared<Conn>();
-        conn->fd = fd;
+        auto conn = adopt(fd);
 
         // Reap connections whose readers already exited: join the
         // reader, then close the fd under the write mutex so no
@@ -436,11 +468,14 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
     while (conn->open.load()) {
         const auto n = ::recv(conn->fd, chunk, sizeof chunk, 0);
         if (n > 0) {
+            // The buffered prefix holds no newline: scan only the new
+            // bytes, so a multi-megabyte job line costs linear time.
+            std::size_t from = buffer.size();
             buffer.append(chunk, static_cast<std::size_t>(n));
             lastByteUs = CancelToken::nowUs();
             std::size_t start = 0;
             for (;;) {
-                const auto nl = buffer.find('\n', start);
+                const auto nl = buffer.find('\n', from);
                 if (nl == std::string::npos)
                     break;
                 std::string line =
@@ -448,6 +483,7 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
                 start = nl + 1;
+                from = start;
                 if (!line.empty())
                     handleLine(conn, line);
             }
@@ -870,7 +906,7 @@ Server::compute(const Job &job)
         return phase::evaluatePhases(tr, cfg).toJson();
       }
       case Cmd::DseJob: {
-        maybeInjectServeFault(req.attempt);
+        maybeInjectServeFault(req.attempt, _jobsCompleted.load());
         dse::ExploreConfig cfg;
         cfg.threads = 1;
         // Always the daemon's OWN disk cache, never a client path —
@@ -924,11 +960,11 @@ Server::compute(const Job &job)
         }
         const std::int64_t wallUs = CancelToken::nowUs() - t0;
         _metrics.counter("serve/dse_jobs").add();
-        gJobsCompleted.fetch_add(1, std::memory_order_relaxed);
+        _jobsCompleted.fetch_add(1);
         return encodeResult(req.jobIndex, cached, wallUs, metrics);
       }
       case Cmd::PhaseJob: {
-        maybeInjectServeFault(req.attempt);
+        maybeInjectServeFault(req.attempt, _jobsCompleted.load());
         phase::PhaseEvalConfig cfg;
         cfg.segmenter.windowMessages = req.window;
         cfg.segmenter.mergeThreshold = req.threshold;
@@ -974,7 +1010,7 @@ Server::compute(const Job &job)
             cfg);
         const std::int64_t wallUs = CancelToken::nowUs() - t0;
         _metrics.counter("serve/phase_jobs").add();
-        gJobsCompleted.fetch_add(1, std::memory_order_relaxed);
+        _jobsCompleted.fetch_add(1);
         return encodePhaseResult(req.jobIndex, wallUs, row);
       }
       case Cmd::Ping:

@@ -119,6 +119,17 @@ class Server
      */
     bool start(std::string &error);
 
+    /**
+     * Serve one already-connected stream socket @p fd instead of a
+     * listener: the same reader, queue, workers, deadlines and
+     * cancel-on-disconnect as start(), with no accept thread. Blocks
+     * until the peer closes, then drains and stops. This is how a
+     * forked local lane of the distributed coordinator runs (one end
+     * of a socketpair). Returns false (with @p error) when the server
+     * cannot start.
+     */
+    bool serveConnection(int fd, std::string &error);
+
     /** Bound TCP port (after start(); 0 for unix-socket servers). */
     int boundPort() const { return _boundPort; }
 
@@ -179,6 +190,13 @@ class Server
         std::string message;
     };
 
+    /** Mark started, arm fatalThrows, open the stop pipe. */
+    bool begin(std::string &error);
+    /** Create the restart pool and the queue-draining workers. */
+    void launchWorkers();
+    /** Wrap an accepted/connected socket (bounded socket waits). */
+    std::shared_ptr<Conn> adopt(int fd);
+
     void acceptLoop();
     void readerLoop(std::shared_ptr<Conn> conn);
     void workerLoop(std::uint32_t worker);
@@ -233,6 +251,9 @@ class Server
 
     std::jthread _acceptThread;
     std::vector<std::jthread> _workers;
+
+    /** Coordinator jobs completed; arms the dist chaos hooks. */
+    std::atomic<std::uint64_t> _jobsCompleted{0};
 };
 
 } // namespace minnoc::serve

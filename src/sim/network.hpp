@@ -12,7 +12,7 @@
  * flight, heads awaiting a route, outputs with requesters, sources with
  * queued packets. Every such worklist is walked in the order a full
  * sweep would visit it, which keeps arbitration bit-exact (DESIGN.md
- * §5m).
+ * §5l).
  *
  * Deadlocks (possible under the torus's fully adaptive routing and on
  * arbitrary generated topologies) are detected by per-packet progress

@@ -61,7 +61,7 @@ idealReplay(const Trace &trace, const ReplayModel &model)
 
     for (core::ProcId r = 0; r < ranks; ++r) {
         if (cursor[r] != trace.timeline(r).size())
-            panic("idealReplay: trace '", trace.name(),
+            fatal("idealReplay: trace '", trace.name(),
                   "' deadlocks at rank ", r, " op ", cursor[r]);
     }
     return pattern;

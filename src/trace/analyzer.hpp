@@ -34,8 +34,9 @@ struct ReplayModel
 
 /**
  * Replay @p trace on an ideal (contention-free) machine and return the
- * resulting timed communication pattern. Panics if the trace deadlocks
- * (a recv whose matching send can never be issued).
+ * resulting timed communication pattern. A trace that deadlocks (a
+ * recv whose matching send can never be issued) is a user error and
+ * fails through fatal().
  */
 core::CommPattern idealReplay(const Trace &trace,
                               const ReplayModel &model = {});

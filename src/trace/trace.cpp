@@ -82,8 +82,8 @@ Trace::numCalls() const
     return top;
 }
 
-void
-Trace::validateMatching() const
+std::string
+Trace::unmatched() const
 {
     // Key: (src, dst, callId) -> multiset balance of sends vs recvs.
     std::map<std::tuple<core::ProcId, core::ProcId, std::uint32_t>,
@@ -100,10 +100,20 @@ Trace::validateMatching() const
     for (const auto &[key, bal] : balance) {
         if (bal != 0) {
             const auto &[s, d, call] = key;
-            panic("Trace '", _name, "': unmatched send/recv (", s, "->",
-                  d, ", call ", call, "), balance ", bal);
+            return "trace '" + _name + "': unmatched send/recv (" +
+                   std::to_string(s) + "->" + std::to_string(d) +
+                   ", call " + std::to_string(call) + "), balance " +
+                   std::to_string(bal);
         }
     }
+    return "";
+}
+
+void
+Trace::validateMatching() const
+{
+    if (const auto error = unmatched(); !error.empty())
+        panic(error);
 }
 
 void
@@ -179,6 +189,8 @@ Trace::load(std::istream &is)
             fatal("Trace::load: unknown op kind '", kind, "'");
         }
     }
+    if (const auto error = trace.unmatched(); !error.empty())
+        fatal("Trace::load: ", error);
     return trace;
 }
 

@@ -126,13 +126,17 @@ class Trace
     /**
      * Parse the save() format. Malformed input -- bad syntax, a rank or
      * peer out of range, a self-send, negative compute, more than
-     * kMaxRanks ranks -- fails through fatal().
+     * kMaxRanks ranks, a send or recv without its match -- fails
+     * through fatal().
      */
     static Trace load(std::istream &is);
 
     bool operator==(const Trace &o) const = default;
 
   private:
+    /** validateMatching()'s description of the first mismatch, or "". */
+    std::string unmatched() const;
+
     std::string _name;
     std::vector<std::vector<TraceOp>> _timelines;
 };

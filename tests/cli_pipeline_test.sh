@@ -37,14 +37,23 @@ head -1 "$DIR/cg.design" | grep -q "minnoc-design 1"
 "$MINNOC" dot "$DIR/cg.design" --out "$DIR/cg.dot"
 grep -q "graph design" "$DIR/cg.dot"
 
-# A semantically invalid trace (peer out of range) is a user error:
-# exit 1 with one "fatal:" line, never an abort.
+# A semantically invalid trace (peer out of range, an unmatched send,
+# a deadlock that only the phase replay meets) is a user error: exit 1
+# with one "fatal:" line, never an abort.
+expect_one_fatal() {
+    rc=0
+    "$MINNOC" "$@" 2>"$DIR/bad.err" >/dev/null || rc=$?
+    test "$rc" -eq 1
+    test "$(wc -l <"$DIR/bad.err")" -eq 1
+    grep -q "^fatal: " "$DIR/bad.err"
+}
 printf 'trace x 2\n0 send 9 64 1\n' >"$DIR/bad.trace"
-rc=0
-"$MINNOC" analyze "$DIR/bad.trace" 2>"$DIR/bad.err" || rc=$?
-test "$rc" -eq 1
-test "$(wc -l <"$DIR/bad.err")" -eq 1
-grep -q "^fatal: " "$DIR/bad.err"
+expect_one_fatal analyze "$DIR/bad.trace"
+printf 'trace x 2\n0 send 1 64 1\n' >"$DIR/unmatched.trace"
+expect_one_fatal analyze "$DIR/unmatched.trace"
+printf 'trace x 2\n0 recv 1 64 1\n0 send 1 64 2\n1 recv 0 64 2\n1 send 0 64 1\n' \
+    >"$DIR/deadlock.trace"
+expect_one_fatal phases "$DIR/deadlock.trace"
 
 # Phase pipeline: a synthetic phase-shift workload must segment into
 # at least two phases, verify contention-free per phase, and produce a

@@ -2,11 +2,12 @@
  * @file
  * Shared fixtures for the distributed-exploration test suites.
  *
- * Both the pipe-transport tests (test_dist.cpp) and the remote-host
- * tests (test_dist_hosts.cpp) need the same small deterministic
- * workload, the same fault-injection env plumbing, and — for the
- * socket tests — real `minnoc serve` daemons living in their own
- * processes so they can be SIGKILLed, crashed via the chaos hooks, or
+ * Both the local-lane tests (test_dist.cpp: `--workers`, each lane a
+ * forked `serve` child on a socketpair) and the remote-host tests
+ * (test_dist_hosts.cpp: `--hosts`) need the same small deterministic
+ * workload and the same fault-injection env plumbing. The remote tests
+ * also need real `minnoc serve` daemons listening in their own
+ * processes, so they can be SIGKILLed, crashed via the chaos hooks, or
  * drained without taking the test runner down with them.
  *
  * DaemonProc forks a child that builds a serve::Server on an ephemeral
@@ -110,7 +111,7 @@ onChildTerm(int)
  * The child applies Options::env before constructing the server, so
  * the serve-side chaos hooks (MINNOC_DIST_TEST_CRASH/HANG = "serve")
  * can be armed per daemon without leaking into the test process or
- * its forked pipe workers.
+ * the local lanes it forks.
  */
 class DaemonProc
 {
@@ -122,8 +123,8 @@ class DaemonProc
         std::string cacheDir;
         bool useCache = true;
         /**
-         * Generous ceilings: the coordinator forwards its worker
-         * timeout as the request deadline, and chaos tests must see
+         * Generous ceilings: the coordinator derives the request
+         * deadline from its worker timeout, and chaos tests must see
          * the coordinator's timeout fire, never the daemon's.
          */
         std::int64_t defaultDeadlineMs = 600'000;

@@ -202,7 +202,7 @@ TEST(Power, ActivityVsStaticOnGoldenPatterns)
 
         // Activity tier: buffers billed, total within [0.25x, 4x] of
         // static on mesh replays of well-behaved traffic (see
-        // DESIGN.md §5l).
+        // DESIGN.md §5k).
         EXPECT_GT(act.bufferDynamic, 0.0)
             << trace::benchmarkName(bench);
         const double ratio = act.total() / stat.total();

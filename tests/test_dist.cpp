@@ -1,28 +1,32 @@
 /**
  * @file
- * Multi-process distributed exploration tests: netstring framing, the
- * shard request / worker message round trip, byte-identity of the
- * coordinator's merged report against the in-process explorer (across
- * worker counts, warm shared caches, injected worker crashes and
- * hangs), Ctrl-C propagation, and the distributed phases evaluation.
+ * Multi-process distributed exploration tests over forked local lanes
+ * (each a `serve` child on a socketpair): the job result round trip,
+ * byte-identity of the coordinator's merged report against the
+ * in-process explorer (across worker counts, warm shared caches,
+ * injected lane crashes and hangs), the request deadline under a full
+ * dispatch window, the serve size limit, Ctrl-C propagation, and the
+ * distributed phases evaluation.
  *
- * Fault injection uses the worker-side test hooks: setting
- * MINNOC_DIST_TEST_CRASH=<worker> (or _HANG) makes that worker die
- * with _exit(42) (or go unresponsive) after its first result on its
- * first attempt, so every crash test exercises the real requeue path
- * with part of the shard already delivered.
+ * Fault injection uses the serve-side test hooks: with
+ * MINNOC_DIST_TEST_CRASH=serve (or _HANG) every lane's daemon dies with
+ * _exit(42) (or goes unresponsive) at the start of its second job on
+ * its first attempt, so every crash test exercises the real requeue
+ * path with part of the shard already delivered.
  */
 
 #include <gtest/gtest.h>
 
 #include "dist/coordinator.hpp"
-#include "dist/protocol.hpp"
 #include "dist_test_harness.hpp"
 #include "dse/explorer.hpp"
 #include "phase/evaluator.hpp"
+#include "serve/jobwire.hpp"
+#include "serve/protocol.hpp"
 #include "trace/scale_patterns.hpp"
 #include "trace/synthetic.hpp"
 #include "util/cancel.hpp"
+#include "util/log.hpp"
 
 using namespace minnoc;
 using namespace minnoc::dist;
@@ -31,64 +35,35 @@ using disttest::EnvGuard;
 using disttest::smallConfig;
 using disttest::tempCacheDir;
 
-TEST(DistFraming, RoundTripsThroughFrameBuffer)
-{
-    const std::string payload = "{\"type\":\"done\"}";
-    std::string wire = std::to_string(payload.size()) + ":" + payload +
-                       "\n";
-    wire += "3:abc\n";
+namespace {
 
-    FrameBuffer buf;
-    // Feed byte-by-byte: the decoder must survive arbitrary splits.
-    for (const char c : wire)
-        buf.append(&c, 1);
-    auto first = buf.next();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(*first, payload);
-    auto second = buf.next();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(*second, "abc");
-    EXPECT_FALSE(buf.next().has_value());
-    EXPECT_FALSE(buf.corrupt());
+/**
+ * Every failure of a run with the crash hook armed on every lane: each
+ * lane that got at least two jobs died with exit 42 after delivering
+ * one, and each is a forked-lane failure.
+ */
+void
+expectEveryMultiJobLaneCrashed(const DistStats &stats,
+                               std::size_t lanes, std::size_t jobs)
+{
+    // Shards are dealt round-robin, so lane i holds ceil((jobs-i)/lanes).
+    std::size_t multiJobLanes = 0;
+    for (std::size_t i = 0; i < lanes; ++i)
+        if ((jobs - i + lanes - 1) / lanes >= 2)
+            ++multiJobLanes;
+    ASSERT_EQ(stats.failures.size(), multiJobLanes);
+    for (const auto &f : stats.failures) {
+        EXPECT_LT(f.worker, lanes);
+        EXPECT_EQ(f.reason, "exit 42");
+        EXPECT_TRUE(f.host.empty());
+        EXPECT_FALSE(f.requeuedJobs.empty());
+    }
+    const auto json = stats.toJson("explore");
+    EXPECT_NE(json.find("\"worker_failed\": [{"), std::string::npos);
+    EXPECT_NE(json.find("\"host_failed\": []"), std::string::npos);
 }
 
-TEST(DistFraming, LatchesCorruptOnJunk)
-{
-    FrameBuffer buf;
-    const std::string junk = "not-a-netstring\n";
-    buf.append(junk.data(), junk.size());
-    EXPECT_FALSE(buf.next().has_value());
-    EXPECT_TRUE(buf.corrupt());
-}
-
-TEST(DistProtocol, ShardRequestRoundTrips)
-{
-    ShardRequest req;
-    req.cmd = "explore_shard";
-    req.worker = 3;
-    req.attempt = 2;
-    req.traceText = "trace bytes\nwith newline";
-    req.jobs = {0, 2, 5};
-    req.sigs = {"sig-a", "sig-b", "sig-c"};
-    req.grid.maxDegrees = {4, 5};
-    req.grid.seeds = {7};
-    req.cacheDir = "/tmp/x";
-    req.useCache = false;
-
-    std::string err;
-    const auto parsed = parseShardRequest(encodeShardRequest(req), err);
-    ASSERT_TRUE(parsed.has_value()) << err;
-    EXPECT_EQ(parsed->cmd, req.cmd);
-    EXPECT_EQ(parsed->worker, 3u);
-    EXPECT_EQ(parsed->attempt, 2u);
-    EXPECT_EQ(parsed->traceText, req.traceText);
-    EXPECT_EQ(parsed->jobs, req.jobs);
-    EXPECT_EQ(parsed->sigs, req.sigs);
-    EXPECT_EQ(parsed->grid.maxDegrees, req.grid.maxDegrees);
-    EXPECT_EQ(parsed->grid.seeds, req.grid.seeds);
-    EXPECT_EQ(parsed->cacheDir, "/tmp/x");
-    EXPECT_FALSE(parsed->useCache);
-}
+} // namespace
 
 TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
 {
@@ -100,9 +75,8 @@ TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
 
     std::string err;
     const auto msg =
-        parseWorkerMsg(encodeResult(11, true, 12345, m), err);
+        serve::parseWorkerMsg(serve::encodeResult(11, true, 12345, m), err);
     ASSERT_TRUE(msg.has_value()) << err;
-    EXPECT_EQ(msg->kind, WorkerMsg::Kind::Result);
     EXPECT_EQ(msg->index, 11u);
     EXPECT_TRUE(msg->cached);
     EXPECT_EQ(msg->wallUs, 12345);
@@ -110,19 +84,6 @@ TEST(DistProtocol, WorkerResultRoundTripsDoublesExactly)
     EXPECT_EQ(msg->metrics.avgHops, m.avgHops);   // bit-exact
     EXPECT_EQ(msg->metrics.energy, m.energy);     // bit-exact
     EXPECT_EQ(msg->metrics.maxLinkUtil, m.maxLinkUtil);
-
-    const auto done = parseWorkerMsg(encodeDone(4, 2), err);
-    ASSERT_TRUE(done.has_value()) << err;
-    EXPECT_EQ(done->kind, WorkerMsg::Kind::Done);
-    EXPECT_EQ(done->jobs, 4u);
-    EXPECT_EQ(done->cacheHits, 2u);
-
-    const auto fail =
-        parseWorkerMsg(encodeError("internal", "boom \"quoted\""), err);
-    ASSERT_TRUE(fail.has_value()) << err;
-    EXPECT_EQ(fail->kind, WorkerMsg::Kind::Error);
-    EXPECT_EQ(fail->code, "internal");
-    EXPECT_EQ(fail->message, "boom \"quoted\"");
 }
 
 TEST(DistExplore, ByteIdenticalAcrossWorkerCounts)
@@ -182,21 +143,14 @@ TEST(DistExplore, CrashedWorkerIsRequeuedAndReportUnchanged)
     const auto cfg = smallConfig("", false);
     const auto base = dse::explore(tr, cfg);
 
-    const EnvGuard crash("MINNOC_DIST_TEST_CRASH", "0");
+    const EnvGuard crash("MINNOC_DIST_TEST_CRASH", "serve");
     DistOptions opt;
     opt.workers = 2;
     DistStats stats;
     const auto report = exploreDistributed(tr, cfg, opt, &stats);
 
     EXPECT_EQ(base.toJson(), report.toJson());
-    ASSERT_EQ(stats.failures.size(), 1u);
-    EXPECT_EQ(stats.failures[0].worker, 0u);
-    EXPECT_EQ(stats.failures[0].reason, "exit 42");
-    EXPECT_FALSE(stats.failures[0].requeuedJobs.empty());
-    EXPECT_NE(stats.toJson("explore").find("\"worker_failed\""),
-              std::string::npos);
-    EXPECT_NE(stats.toJson("explore").find("exit 42"),
-              std::string::npos);
+    expectEveryMultiJobLaneCrashed(stats, 2, base.points.size());
 }
 
 TEST(DistExplore, HungWorkerIsReapedOnTimeoutAndReportUnchanged)
@@ -205,7 +159,7 @@ TEST(DistExplore, HungWorkerIsReapedOnTimeoutAndReportUnchanged)
     const auto cfg = smallConfig("", false);
     const auto base = dse::explore(tr, cfg);
 
-    const EnvGuard hang("MINNOC_DIST_TEST_HANG", "0");
+    const EnvGuard hang("MINNOC_DIST_TEST_HANG", "serve");
     DistOptions opt;
     opt.workers = 2;
     opt.workerTimeoutMs = 1500; // long enough for real results
@@ -213,8 +167,13 @@ TEST(DistExplore, HungWorkerIsReapedOnTimeoutAndReportUnchanged)
     const auto report = exploreDistributed(tr, cfg, opt, &stats);
 
     EXPECT_EQ(base.toJson(), report.toJson());
-    ASSERT_EQ(stats.failures.size(), 1u);
-    EXPECT_EQ(stats.failures[0].reason, "timeout");
+    // Both lanes hold two jobs, so both hang after their first.
+    ASSERT_EQ(stats.failures.size(), 2u);
+    for (const auto &f : stats.failures) {
+        EXPECT_EQ(f.reason, "timeout");
+        EXPECT_TRUE(f.host.empty());
+        EXPECT_EQ(f.requeuedJobs.size(), 1u);
+    }
 }
 
 TEST(DistExplore, SecondFailureOfSameShardAborts)
@@ -222,19 +181,102 @@ TEST(DistExplore, SecondFailureOfSameShardAborts)
     const auto tr = cgTrace();
     const auto cfg = smallConfig("", false);
 
-    // Both workers crash; shard 0's requeue lands on a fresh slot that
-    // inherits the crash hook for worker index 0... the requeued
-    // attempt carries attempt=2, where hooks are disarmed, so a single
-    // injected index cannot abort the run. Injecting both indices
-    // makes the first requeue succeed (attempt 2) but exercises the
-    // bookkeeping under concurrent failures.
-    const EnvGuard crash0("MINNOC_DIST_TEST_CRASH", "0");
+    // A 1 ms activity timeout expires before any job can finish, so
+    // every lane times out on its first attempt and again on the
+    // requeue: the second failure of a shard must abort the run.
     DistOptions opt;
     opt.workers = 2;
+    opt.workerTimeoutMs = 1;
+    try {
+        (void)exploreDistributed(tr, cfg, opt);
+        FAIL() << "a shard failing twice must abort the run";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("shard failed twice"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(DistExplore, QueuedRequestsMeetTheirDeadline)
+{
+    trace::NasConfig ncfg;
+    ncfg.ranks = 16; // jobs long enough to dwarf scheduling noise
+    ncfg.iterations = 1;
+    const auto tr = trace::generateCG(ncfg);
+    auto cfg = smallConfig("", false);
+    cfg.grid.maxDegrees = {5};
+    cfg.grid.vcs = {2};
+    cfg.grid.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+
+    // Eight near-equal jobs on one lane: the whole dispatch window
+    // waits in its daemon's queue at once. The activity timeout is three
+    // times the slowest job measured in-process (best of two runs, so a
+    // scheduling hiccup does not inflate it), so every job fits it with
+    // 3x margin while the window's total does not; a request deadline
+    // that ignored queue wait would fail this healthy lane.
+    std::int64_t slowestUs = 0;
+    std::int64_t totalUs = 0;
+    for (const auto seed : cfg.grid.seeds) {
+        auto one = cfg;
+        one.grid.seeds = {seed};
+        std::int64_t bestUs = INT64_MAX;
+        for (int run = 0; run < 2; ++run) {
+            const auto t0 = CancelToken::nowUs();
+            (void)dse::explore(tr, one);
+            bestUs = std::min(bestUs, CancelToken::nowUs() - t0);
+        }
+        slowestUs = std::max(slowestUs, bestUs);
+        totalUs += bestUs;
+    }
+    DistOptions opt;
+    opt.workers = 1;
+    opt.workerTimeoutMs = std::max<std::int64_t>(3 * slowestUs / 1000, 1);
+    ASSERT_GT(totalUs / 1000, opt.workerTimeoutMs)
+        << "jobs too uneven for the window to outlast the timeout";
+
     DistStats stats;
     const auto report = exploreDistributed(tr, cfg, opt, &stats);
-    EXPECT_EQ(report.points.size(), 4u);
-    EXPECT_GE(stats.failures.size(), 1u);
+    EXPECT_TRUE(stats.failures.empty()) << stats.toJson("explore");
+    ASSERT_EQ(stats.jobs.size(), 1u);
+    EXPECT_EQ(stats.jobs[0], cfg.grid.seeds.size());
+    EXPECT_EQ(report.cacheMisses, cfg.grid.seeds.size());
+}
+
+TEST(DistExplore, TraceOverServeLineLimitIsRefusedUpFront)
+{
+    // ~300k send/recv pairs: the escaped trace alone is over serve's
+    // 8 MiB request line, so no lane could ever accept a job.
+    trace::Trace big("big", 2);
+    for (std::uint32_t i = 0; i < 300'000; ++i) {
+        big.push(0, trace::TraceOp::send(1, 64, i));
+        big.push(1, trace::TraceOp::recv(0, 64, i));
+    }
+    DistOptions opt;
+    opt.workers = 2;
+
+    // Each entry point must refuse it with one fatal naming the limit
+    // (a lane-side refusal would surface as "shard failed twice").
+    const auto fatalOf = [](const auto &run) {
+        LogConfig::instance().fatalThrows(true);
+        std::string message;
+        try {
+            run();
+        } catch (const FatalError &e) {
+            message = e.what();
+        }
+        LogConfig::instance().fatalThrows(false);
+        return message;
+    };
+    const auto limit = std::to_string(serve::kMaxRequestBytes);
+    const auto explore = fatalOf([&] {
+        (void)exploreDistributed(big, smallConfig("", false), opt);
+    });
+    EXPECT_NE(explore.find(limit), std::string::npos) << explore;
+    const auto phases = fatalOf([&] {
+        (void)evaluatePhasesDistributed(big, phase::PhaseEvalConfig{},
+                                        opt);
+    });
+    EXPECT_NE(phases.find(limit), std::string::npos) << phases;
 }
 
 TEST(DistExplore, CancelTokenDrainsWorkers)
@@ -281,8 +323,10 @@ TEST(DistPhases, ByteIdenticalToInProcessEvaluation)
 
 TEST(DistPhases, CrashedWorkerStillYieldsIdenticalReport)
 {
-    const auto tr = trace::phaseShift(
-        {trace::Pattern::Neighbor, trace::Pattern::Transpose});
+    // Three phases over two lanes, so lane 0 holds two and crashes.
+    const auto tr = trace::phaseShift({trace::Pattern::Neighbor,
+                                       trace::Pattern::Transpose,
+                                       trace::Pattern::Hotspot});
     phase::PhaseEvalConfig cfg;
     cfg.methodology.partitioner.constraints.maxDegree = 5;
     cfg.methodology.restarts = 2;
@@ -290,12 +334,13 @@ TEST(DistPhases, CrashedWorkerStillYieldsIdenticalReport)
 
     const auto base = phase::evaluatePhases(tr, cfg);
 
-    const EnvGuard crash("MINNOC_DIST_TEST_CRASH", "0");
+    const EnvGuard crash("MINNOC_DIST_TEST_CRASH", "serve");
     DistOptions opt;
     opt.workers = 2;
     DistStats stats;
     const auto report = evaluatePhasesDistributed(tr, cfg, opt, &stats);
     EXPECT_EQ(base.toJson(), report.toJson());
+    expectEveryMultiJobLaneCrashed(stats, 2, report.phases.size());
 }
 
 TEST(DistStatsJson, ReportsPerWorkerRowsAndFailures)

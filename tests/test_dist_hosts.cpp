@@ -3,7 +3,7 @@
  * Cross-host conformance and chaos tests for `--hosts`: the
  * coordinator drives real `minnoc serve` daemons on loopback (each a
  * forked DaemonProc) and the merged report must be byte-identical to
- * the in-process explorer and the pipe-worker path — cold, warm, at
+ * the in-process explorer and the forked local lanes — cold, warm, at
  * any host/worker mix, and under injected daemon failures.
  *
  * Chaos coverage reuses the dist fault hooks with the value "serve":
@@ -12,7 +12,7 @@
  * delivered, exercising the real partial-requeue path), and _HANG
  * parks it in an unresponsive loop for the coordinator's activity
  * timeout to catch. Harder failures — SIGKILL mid-run, a dead address,
- * an all-hosts-dead fallback onto a forked local worker — are induced
+ * an all-hosts-dead fallback onto a forked local lane — are induced
  * directly.
  */
 
@@ -83,7 +83,7 @@ TEST(DistHosts, ByteIdenticalAcrossBackendMixes)
         EXPECT_EQ(jobs, base.points.size());
     }
 
-    // Mixed: one daemon lane ahead of one forked pipe worker.
+    // Mixed: one daemon lane ahead of one forked local lane.
     {
         DistOptions opt;
         opt.workers = 1;
@@ -239,7 +239,7 @@ TEST(DistHosts, AllHostsDeadFallsBackToForkedWorker)
     a.await();
 
     // Single (dead) host, zero workers: the requeue has no surviving
-    // host and must fork a local pipe worker instead.
+    // host and must fork a local lane instead.
     DistStats stats;
     const auto report =
         exploreDistributed(tr, cfg, hostsOnly(hosts), &stats);

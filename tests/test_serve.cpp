@@ -254,19 +254,23 @@ TEST(Serve, SemanticallyInvalidTraceIsAValidationError)
     LiveServer live("serve-bad-trace");
     auto client = live.client();
 
-    // Each trace parses but names a rank, peer or count it may not:
-    // the daemon must answer with a structured error, never abort.
-    const char *bodies[] = {
-        "trace x 2\\n0 send 9 64 1\\n",
-        "trace x 2\\n0 send 0 64 1\\n",
-        "trace x 2\\n0 compute -5\\n",
-        "trace x 4294967295\\n",
+    // Each trace parses but names a rank, peer or count it may not,
+    // leaves a send unmatched, or deadlocks (both ranks receive first;
+    // only `phases` replays the trace): the daemon must answer with a
+    // structured error, never abort.
+    const std::pair<const char *, const char *> requests[] = {
+        {"design", "trace x 2\\n0 send 9 64 1\\n"},
+        {"design", "trace x 2\\n0 send 0 64 1\\n"},
+        {"design", "trace x 2\\n0 compute -5\\n"},
+        {"design", "trace x 4294967295\\n"},
+        {"design", "trace x 2\\n0 send 1 64 1\\n"},
+        {"phases", "trace x 2\\n0 recv 1 64 1\\n0 send 1 64 2\\n"
+                   "1 recv 0 64 2\\n1 send 0 64 1\\n"},
     };
-    for (const char *body : bodies) {
+    for (const auto &[cmd, body] : requests) {
         const auto r = roundTrip(
-            client, std::string("{\"id\": \"b\", \"cmd\": \"design\", "
-                                "\"trace\": \"") +
-                        body + "\"}");
+            client, std::string("{\"id\": \"b\", \"cmd\": \"") + cmd +
+                        "\", \"trace\": \"" + body + "\"}");
         EXPECT_FALSE(r.ok) << body;
         EXPECT_EQ(r.code, "validation_error") << body;
     }
@@ -274,7 +278,7 @@ TEST(Serve, SemanticallyInvalidTraceIsAValidationError)
     const auto pong =
         roundTrip(client, "{\"id\": \"p\", \"cmd\": \"ping\"}");
     EXPECT_TRUE(pong.ok);
-    EXPECT_EQ(live.counter("serve/errors_validation_error"), 4.0);
+    EXPECT_EQ(live.counter("serve/errors_validation_error"), 6.0);
 }
 
 TEST(Serve, DesignByteIdenticalToCliColdAndWarm)

@@ -112,7 +112,7 @@ TEST(Trace, LoadRejectsSemanticallyInvalidOps)
 
 TEST(Trace, LoadAcceptsTheRankLimit)
 {
-    std::stringstream ss("trace x 4096\n4095 send 0 8 1\n");
+    std::stringstream ss("trace x 4096\n4095 send 0 8 1\n0 recv 4095 8 1\n");
     const Trace t = Trace::load(ss);
     EXPECT_EQ(t.numRanks(), Trace::kMaxRanks);
     EXPECT_EQ(t.numSends(), 1u);

@@ -38,7 +38,9 @@
 #     must produce a frontier byte-identical to the in-process run, a
 #     warm rerun against the merged shared cache must hit on every
 #     job, and the dist status JSON must report zero worker failures;
-#     the status artifact lands in the build dir.
+#     a run with the serve crash hook armed on every local lane must
+#     converge byte-identical with the deaths in `worker_failed` only;
+#     the status artifacts land in the build dir.
 # 10. Multi-host explore over `minnoc serve` (ASan): two loopback
 #     daemons drive `explore --hosts`; the cold run must be
 #     byte-identical to the in-process reference, a warm rerun must
@@ -262,7 +264,22 @@ echo "$dist_warm" | grep -q "100.0% hit rate" ||
     { echo "FAIL: warm distributed rerun below 100% cache hits"; exit 1; }
 cmp "$build/dist_frontier_cold.json" "$build/dist_frontier_warm.json" ||
     { echo "FAIL: warm distributed frontier differs from cold"; exit 1; }
-echo "dist status artifact: $build/dist_status.json"
+# Chaos: every local lane's daemon exits 42 at its second job on the
+# first attempt; the requeued jobs must converge to the same bytes, with
+# each death recorded in worker_failed and none in host_failed.
+MINNOC_DIST_TEST_CRASH=serve "$build/tools/minnoc" explore \
+    "$build/ci-dist.trace" "${dist_flags[@]}" --cache 0 --workers 3 \
+    --dist-report "$build/dist_status_crash.json" \
+    --out "$build/dist_frontier_crash.json"
+cmp "$build/dist_frontier_ref.json" "$build/dist_frontier_crash.json" ||
+    { echo "FAIL: crash-requeued frontier differs from in-process"; exit 1; }
+grep -q '"worker_failed": \[{"worker": [0-9]*, "reason": "exit 42"' \
+    "$build/dist_status_crash.json" ||
+    { echo "FAIL: crashed local lane not in worker_failed"; exit 1; }
+grep -q '"host_failed": \[\]' "$build/dist_status_crash.json" ||
+    { echo "FAIL: local lane death leaked into host_failed"; exit 1; }
+echo "dist status artifacts: $build/dist_status.json" \
+    "$build/dist_status_crash.json"
 
 echo "=== phase 10: multi-host explore over minnoc serve (ASan) ==="
 # Wait until a daemon accepts TCP on its port (or die with its log).

@@ -596,7 +596,7 @@ cmdExplore(const Args &args)
     installCliCancel();
     cfg.cancel = &gCliToken;
 
-    // --workers N forks N worker processes sharing the disk cache;
+    // --workers N forks N `serve` lanes sharing the disk cache;
     // --hosts adds remote `minnoc serve` daemons as extra lanes. Any
     // mix yields a report byte-identical to the in-process sweep.
     const std::uint32_t workers = args.getU32("workers", 0);
@@ -691,8 +691,8 @@ cmdPhases(const Args &args)
     cfg.sim.cancel = &gCliToken;
 
     // --workers N farms the per-phase standalone syntheses out to
-    // forked workers; --hosts adds remote `minnoc serve` daemons as
-    // extra lanes. The merged report is byte-identical to the
+    // N forked `serve` lanes; --hosts adds remote `minnoc serve`
+    // daemons as extra lanes. The merged report is byte-identical to the
     // in-process evaluation.
     const std::uint32_t workers = args.getU32("workers", 0);
     const auto hosts = dist::parseHostList(args.get("hosts"));
@@ -857,7 +857,7 @@ usage()
         "           results are content-cached and byte-identical at\n"
         "           any --threads value; phase-windows 0 = classic\n"
         "           pipeline, N = time-multiplexed phase networks;\n"
-        "           workers N forks N processes sharing the disk\n"
+        "           workers N forks N `serve` lanes sharing the disk\n"
         "           cache -- same bytes as --workers 0; hosts adds\n"
         "           remote `minnoc serve` daemons as job backends,\n"
         "           same bytes at any host/worker mix)\n"
