@@ -11,18 +11,30 @@
  *     MINNOC_REGEN_GOLDEN=1 ./build/tests/test_golden_designs
  *
  * then review the tests/golden/ diff like any other code change.
+ *
+ * The stats only count things, so a refactor could reroute traffic and
+ * leave every count unchanged. The DesignBytes tests close that gap:
+ * they pin a 64-bit FNV-1a hash of the saved design text (the same
+ * bytes `minnoc design --out` writes) for each NAS golden and for one
+ * 72-rank closed-form pattern that exercises the large-N degree repair.
+ * Those hashes are not regenerated by MINNOC_REGEN_GOLDEN; a PR that
+ * changes design output on purpose updates them by hand and says so.
  */
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/design_io.hpp"
 #include "core/methodology.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
+#include "trace/scale_patterns.hpp"
 
 using namespace minnoc;
 
@@ -84,9 +96,47 @@ statsSnapshot(trace::Benchmark bench, std::uint32_t ranks,
     return oss.str();
 }
 
+/** 64-bit FNV-1a over the saveDesign text of @p design, as hex. */
+std::string
+designHash(const core::FinalizedDesign &design)
+{
+    std::ostringstream oss;
+    core::saveDesign(design, oss);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char ch : oss.str()) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+    return buf;
+}
+
 class GoldenDesigns : public ::testing::TestWithParam<trace::Benchmark>
 {
 };
+
+class DesignBytes : public ::testing::TestWithParam<trace::Benchmark>
+{
+};
+
+/**
+ * Pinned design hashes of the NAS goldens. BT/SP and CG/MG share one:
+ * at the small configs their communication patterns, hence designs,
+ * coincide.
+ */
+std::string
+pinnedHash(trace::Benchmark bench)
+{
+    switch (bench) {
+    case trace::Benchmark::BT: return "147993d963ff8dcc";
+    case trace::Benchmark::CG: return "00128d9e5fd00594";
+    case trace::Benchmark::FFT: return "74391aa3f7204be2";
+    case trace::Benchmark::MG: return "00128d9e5fd00594";
+    case trace::Benchmark::SP: return "147993d963ff8dcc";
+    }
+    return "";
+}
 
 } // namespace
 
@@ -128,6 +178,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<trace::Benchmark> &info) {
         return trace::benchmarkName(info.param);
     });
+
+TEST_P(DesignBytes, MatchesPinnedHash)
+{
+    std::uint32_t ranks = 0;
+    const auto outcome = goldenDesign(GetParam(), &ranks);
+    EXPECT_EQ(pinnedHash(GetParam()), designHash(outcome.design))
+        << "the saved design of " << trace::benchmarkName(GetParam())
+        << " changed byte for byte";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, DesignBytes,
+    ::testing::Values(trace::Benchmark::BT, trace::Benchmark::CG,
+                      trace::Benchmark::FFT, trace::Benchmark::MG,
+                      trace::Benchmark::SP),
+    [](const ::testing::TestParamInfo<trace::Benchmark> &info) {
+        return trace::benchmarkName(info.param);
+    });
+
+TEST(DesignBytes, LargeScaleRepairMatchesPinnedHash)
+{
+    // 72 ranks puts the run in large-N mode, where degree repair uses
+    // its sparse relaxation; at degree 5 this fan-out gets stuck and
+    // repair commits reroutes before the partitioner gives up.
+    core::MethodologyConfig cfg;
+    cfg.partitioner.constraints.maxDegree = 5;
+    cfg.partitioner.seed = 1;
+    cfg.restarts = 1;
+    cfg.threads = 1;
+    const auto outcome = core::runMethodology(
+        trace::makeScalePattern("fan_uni", 72), cfg);
+    EXPECT_EQ("9e5ad4703672e7f8", designHash(outcome.design));
+}
 
 TEST(GoldenDesigns, PerturbationFailsLoudly)
 {
