@@ -146,6 +146,13 @@ class DesignNetwork
     /** Non-empty pipes incident to switch @p s. */
     std::vector<PipeKey> pipesOf(SwitchId s) const;
 
+    /** Switches sharing a non-empty pipe with @p s, ascending. */
+    const std::vector<SwitchId> &
+    neighbors(SwitchId s) const
+    {
+        return _nbrs[s];
+    }
+
     /** The pipe record for @p key (empty record if absent). */
     const Pipe &pipe(const PipeKey &key) const;
 

@@ -101,6 +101,16 @@ struct FinalizedDesign
     /** Total directed channels (fwd + bwd over all pipes). */
     std::uint32_t totalChannels() const;
 
+    /**
+     * The channel count designs compete on: totalChannels() when
+     * unidirectional, two per full-duplex link otherwise.
+     */
+    std::uint32_t
+    provisionedChannels() const
+    {
+        return unidirectional ? totalChannels() : 2 * totalLinks();
+    }
+
     /** Human-readable dump. */
     std::string toString() const;
 };

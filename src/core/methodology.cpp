@@ -128,12 +128,9 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
                 if (!swapped && cs.committedMoves == 0)
                     break;
                 auto polished = finalizeDesign(net, config.finalize);
-                const auto measure = [](const FinalizedDesign &d) {
-                    return d.unidirectional ? d.totalChannels()
-                                            : 2 * d.totalLinks();
-                };
                 if (exactViolators(polished, pcfg.constraints).empty() &&
-                    measure(polished) < measure(outcome.design) &&
+                    polished.provisionedChannels() <
+                        outcome.design.provisionedChannels() &&
                     verifier.check(polished).empty()) {
                     outcome.design = std::move(polished);
                     snapshot = net;
@@ -179,19 +176,6 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
     return SeedResult{std::move(outcome), std::move(net)};
 }
 
-/** Estimate-level constraint violations (mirror of the partitioner's). */
-bool
-estimatesSatisfied(const DesignNetwork &net, const DesignConstraints &dc)
-{
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        const auto procs =
-            static_cast<std::uint32_t>(net.procsOf(s).size());
-        if (!dc.satisfied(net.estimatedDegree(s), procs))
-            return false;
-    }
-    return true;
-}
-
 /**
  * Switch-merge polish: the recursive-bisection loop tends to over-split
  * dense patterns down to one processor per switch even when pairs of
@@ -199,12 +183,20 @@ estimatesSatisfied(const DesignNetwork &net, const DesignConstraints &dc)
  * networks share switches between processors). Try merging switch
  * pairs, re-consolidating routes, and keep any merge whose finalized
  * design still meets the constraints with at most one extra link.
+ * Publishes the methodology/merge counters: every pair tried ends in
+ * exactly one of skipped_degree, rejected_estimate, rejected_finalize
+ * or accepted.
  */
 void
 mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
               const MethodologyConfig &config, const CliqueSet &cliques,
-              const PartitionerConfig &pcfg, Rng &rng, ThreadPool *pool)
+              const PartitionerConfig &pcfg, Rng &rng)
 {
+    std::uint64_t tried = 0;
+    std::uint64_t skippedDegree = 0;
+    std::uint64_t rejectedEstimate = 0;
+    std::uint64_t rejectedFinalize = 0;
+    std::uint64_t accepted = 0;
     const auto &dc = pcfg.constraints;
     // Merge candidates differ from the incumbent in the few pipes around
     // the merged pair; the incremental verifier re-checks only those.
@@ -231,12 +223,15 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                  ++t) {
                 if (net.procsOf(t).empty())
                     continue;
+                ++tried;
                 const auto combinedProcs = net.procsOf(s).size() +
                                            net.procsOf(t).size();
                 // A merged switch needs at least one link if anything
                 // leaves it; quick infeasibility filter.
-                if (combinedProcs + 1 > dc.maxDegree)
+                if (combinedProcs + 1 > dc.maxDegree) {
+                    ++skippedDegree;
                     continue;
+                }
 
                 DesignNetwork snapshot = net;
                 const std::vector<ProcId> procs = net.procsOf(t);
@@ -244,31 +239,40 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                     net.moveProc(p, s);
                 consolidateRoutes(net, pcfg.consolidatePasses,
                                   dc.maxDegree, &rng,
-                                  pcfg.unidirectionalCost, pool);
-                if (estimatesSatisfied(net, dc)) {
-                    auto merged = finalizeDesign(net, config.finalize);
-                    const auto linkBudget =
-                        (merged.unidirectional
-                             ? outcome.design.totalChannels()
-                             : 2 * outcome.design.totalLinks()) +
-                        2;
-                    const auto mergedLinks =
-                        merged.unidirectional
-                            ? merged.totalChannels()
-                            : 2 * merged.totalLinks();
-                    if (exactViolators(merged, dc).empty() &&
-                        merged.numSwitches <
-                            outcome.design.numSwitches &&
-                        mergedLinks <= linkBudget &&
-                        totalHops(merged) <= hopBudget &&
-                        verifier.check(merged).empty()) {
-                        outcome.design = std::move(merged);
-                        improved = true;
-                        break;
-                    }
+                                  pcfg.unidirectionalCost);
+                if (!violatingSwitches(net, dc).empty()) {
+                    ++rejectedEstimate;
+                    net = std::move(snapshot);
+                    continue;
                 }
+                auto merged = finalizeDesign(net, config.finalize);
+                if (exactViolators(merged, dc).empty() &&
+                    merged.numSwitches < outcome.design.numSwitches &&
+                    merged.provisionedChannels() <=
+                        outcome.design.provisionedChannels() + 2 &&
+                    totalHops(merged) <= hopBudget &&
+                    verifier.check(merged).empty()) {
+                    outcome.design = std::move(merged);
+                    ++accepted;
+                    improved = true;
+                    break;
+                }
+                ++rejectedFinalize;
                 net = std::move(snapshot);
             }
+        }
+    }
+
+    if constexpr (obs::kEnabled) {
+        if (config.metrics) {
+            auto &m = *config.metrics;
+            m.counter("methodology/merge/pairs_tried").add(tried);
+            m.counter("methodology/merge/skipped_degree").add(skippedDegree);
+            m.counter("methodology/merge/rejected_estimate")
+                .add(rejectedEstimate);
+            m.counter("methodology/merge/rejected_finalize")
+                .add(rejectedFinalize);
+            m.counter("methodology/merge/accepted").add(accepted);
         }
     }
 }
@@ -329,14 +333,8 @@ betterThan(const DesignOutcome &a, const DesignOutcome &b,
         if (va != vb)
             return va < vb;
     }
-    // Unidirectional designs compete on channel count; duplex designs
-    // on full-duplex link count.
-    const auto linksA = a.design.unidirectional
-                            ? a.design.totalChannels()
-                            : 2 * a.design.totalLinks();
-    const auto linksB = b.design.unidirectional
-                            ? b.design.totalChannels()
-                            : 2 * b.design.totalLinks();
+    const auto linksA = a.design.provisionedChannels();
+    const auto linksB = b.design.provisionedChannels();
     if (linksA != linksB)
         return linksA < linksB;
     return a.design.numSwitches < b.design.numSwitches;
@@ -445,7 +443,7 @@ runMethodology(const CliqueSet &cliquesIn, const MethodologyConfig &config,
         if (config.finalize.unidirectional)
             pcfg.unidirectionalCost = true;
         Rng rng(config.partitioner.seed ^ 0x5bd1e995);
-        mergeSwitches(*bestNet, best, config, cliques, pcfg, rng, pool);
+        mergeSwitches(*bestNet, best, config, cliques, pcfg, rng);
         if constexpr (obs::kEnabled) {
             if (config.traceLog) {
                 config.traceLog->complete(

@@ -21,21 +21,6 @@ cutCost(const DesignNetwork &net, SwitchId si, SwitchId sj)
     return net.cutEstimate(si, sj);
 }
 
-/** Switches currently violating the constraints (by estimate). */
-std::vector<SwitchId>
-violatingSwitches(const DesignNetwork &net, const DesignConstraints &dc)
-{
-    std::vector<SwitchId> bad;
-    const auto degrees = net.estimatedDegrees();
-    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
-        const auto procs =
-            static_cast<std::uint32_t>(net.procsOf(s).size());
-        if (!dc.satisfied(degrees[s], procs))
-            bad.push_back(s);
-    }
-    return bad;
-}
-
 /** A candidate processor move across the fresh cut. */
 struct MoveCandidate
 {
@@ -89,7 +74,6 @@ enumerateMoves(DesignNetwork &net, SwitchId si, SwitchId sj,
     return candidates;
 }
 
-
 /** Global (violation, links) measure used by the swap refinement. */
 std::pair<std::uint64_t, std::uint32_t>
 placementMeasure(const DesignNetwork &net, const DesignConstraints &dc)
@@ -105,6 +89,20 @@ placementMeasure(const DesignNetwork &net, const DesignConstraints &dc)
 }
 
 } // namespace
+
+std::vector<SwitchId>
+violatingSwitches(const DesignNetwork &net, const DesignConstraints &dc)
+{
+    std::vector<SwitchId> bad;
+    const auto degrees = net.estimatedDegrees();
+    for (SwitchId s = 0; s < net.numSwitches(); ++s) {
+        const auto procs =
+            static_cast<std::uint32_t>(net.procsOf(s).size());
+        if (!dc.satisfied(degrees[s], procs))
+            bad.push_back(s);
+    }
+    return bad;
+}
 
 bool
 refineProcSwaps(DesignNetwork &net, const DesignConstraints &dc, Rng &rng,

@@ -213,6 +213,10 @@ SwitchId splitAndSettle(DesignNetwork &net, const PartitionerConfig &config,
 bool refineProcSwaps(DesignNetwork &net, const DesignConstraints &dc,
                      Rng &rng, std::uint32_t passes);
 
+/** Switches whose estimated degree violates @p dc, ascending. */
+std::vector<SwitchId> violatingSwitches(const DesignNetwork &net,
+                                        const DesignConstraints &dc);
+
 } // namespace minnoc::core
 
 #endif // MINNOC_CORE_PARTITIONER_HPP

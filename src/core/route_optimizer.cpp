@@ -1,8 +1,10 @@
 #include "route_optimizer.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <functional>
+#include <optional>
+#include <queue>
+#include <tuple>
 
 #include "util/log.hpp"
 
@@ -167,165 +169,230 @@ degreeViolation(const DesignNetwork &net, std::uint32_t max_degree)
 }
 
 /**
- * Per-pipe baseline for pricing one communication's reroute: the pipe's
- * directional comm sets with the victim (and its paired reverse)
- * removed, plus memo slots for the with-victim Fast_Color values the
- * Dijkstra hop pricing asks for repeatedly (-1 = not computed yet).
+ * Fast_Color widths of one pipe hop as a reroute would leave it: the
+ * victim added to the direction it travels, its paired reverse (if
+ * any) added to the other, against the pipe's victim-free baseline.
  */
-struct PipeBaseline
+struct HopWidths
 {
-    /**
-     * Directional comm sets with the victim removed. Pipes the victims
-     * do not cross point straight at the live pipe's sets (valid
-     * because pricing only reads them before any route commits); only
-     * the handful of pipes on the victims' routes materialize owned
-     * victim-free copies. The full-table deep copy this replaces was a
-     * top-three profile entry at large N.
-     */
-    const CommBitset *fwd = nullptr;
-    const CommBitset *bwd = nullptr;
-    CommBitset ownedFwd; ///< backing storage when the victim crossed
-    CommBitset ownedBwd;
-    std::uint32_t fcFwd = 0;
-    std::uint32_t fcBwd = 0;
-
-    mutable std::int64_t withCFwd = -1;   ///< fastColor(fwd + c)
-    mutable std::int64_t withCBwd = -1;   ///< fastColor(bwd + c)
-    mutable std::int64_t withRevFwd = -1; ///< fastColor(fwd + rev)
-    mutable std::int64_t withRevBwd = -1; ///< fastColor(bwd + rev)
-
-    /** Duplex width: a full-duplex bundle serves both directions. */
-    std::uint32_t width() const { return std::max(fcFwd, fcBwd); }
-
-    /** Channel count under unidirectional provisioning. */
-    std::uint32_t channels() const { return fcFwd + fcBwd; }
+    std::uint32_t with = 0;     ///< victim's direction, victim added
+    std::uint32_t other = 0;    ///< opposite direction (+ reverse)
+    std::uint32_t width = 0;    ///< baseline duplex width
+    std::uint32_t channels = 0; ///< baseline fwd + bwd channels
 };
 
-/** Sorted pipe-key -> baseline table (keys come sorted from pipes()). */
-struct BaselineTable
+/** A candidate route and its summed hop price. */
+struct PricedPath
 {
-    std::vector<PipeKey> keys;
-    std::vector<PipeBaseline> entries;
-
-    const PipeBaseline *
-    find(const PipeKey &k) const
-    {
-        const auto it = std::lower_bound(keys.begin(), keys.end(), k);
-        if (it == keys.end() || !(*it == k))
-            return nullptr;
-        return &entries[static_cast<std::size_t>(it - keys.begin())];
-    }
+    std::uint64_t cost = 0;
+    std::vector<SwitchId> hops;
 };
-
-/** Pipe-count threshold below which a parallel build is not worth it. */
-constexpr std::size_t kParallelBaselineThreshold = 64;
 
 /**
- * Snapshot every existing pipe with @p c (and @p rev when paired)
- * removed. Pipes the victims do not cross keep their live comm sets and
- * reuse the cached Fast_Color values; only the handful of pipes on the
- * victims' routes recompute. With a pool, entries build in parallel
- * chunks (each chunk owns a disjoint slice; the network is only read).
+ * One reroute of a communication: the step route consolidation and
+ * degree repair share. Construction pairs @p c with the opposite-
+ * direction communication when that mirrors c's route — pipes are
+ * full-duplex bundles whose width is the max of the two directions, so
+ * moving one direction alone never narrows a shared pipe — and
+ * snapshots every pipe with the pair removed. Callers price hops with
+ * hop(), search with cheapestPath() under their own neighbour offers,
+ * and commit() the result under their own acceptance rule.
  */
-BaselineTable
-buildBaseline(const DesignNetwork &net, CommId c, CommId rev,
-              ThreadPool *pool)
+class Reroute
 {
-    BaselineTable table;
-    std::vector<const Pipe *> live;
-    net.forEachPipe([&](const PipeKey &key, const Pipe &p) {
-        table.keys.push_back(key);
-        live.push_back(&p);
-    });
-    table.entries.resize(table.keys.size());
+  public:
+    Reroute(DesignNetwork &net, CommId c)
+        : _net(net), _c(c), _old(net.route(c))
+    {
+        const CliqueSet &cliques = net.cliques();
+        _rev = cliques.findComm(cliques.comm(c).reversed());
+        if (_rev == c ||
+            (_rev != CliqueSet::kNoComm &&
+             !std::equal(_old.begin(), _old.end(),
+                         net.route(_rev).rbegin(), net.route(_rev).rend())))
+            _rev = CliqueSet::kNoComm; // asymmetric: treat c alone
 
-    auto build = [&](std::size_t i) {
-        const Pipe &p = *live[i];
-        PipeBaseline &pb = table.entries[i];
-        const bool touched =
-            p.fwd.test(c) || p.bwd.test(c) ||
-            (rev != CliqueSet::kNoComm &&
-             (p.fwd.test(rev) || p.bwd.test(rev)));
-        if (!touched) {
-            pb.fwd = &p.fwd;
-            pb.bwd = &p.bwd;
-            const auto [ff, fb] = net.fastColorDirs(p);
-            pb.fcFwd = ff;
-            pb.fcBwd = fb;
-            return;
+        // Pipes the victims do not cross point straight at the live
+        // pipe's sets and cached Fast_Color values (valid because
+        // pricing only reads them before any route commits); only the
+        // handful of pipes on the victims' routes own victim-free
+        // copies.
+        net.forEachPipe([&](const PipeKey &key, const Pipe &p) {
+            _keys.push_back(key);
+            Baseline &b = _base.emplace_back();
+            const bool touched =
+                p.fwd.test(c) || p.bwd.test(c) ||
+                (_rev != CliqueSet::kNoComm &&
+                 (p.fwd.test(_rev) || p.bwd.test(_rev)));
+            if (!touched) {
+                b.live = &p;
+                std::tie(b.fcFwd, b.fcBwd) = net.fastColorDirs(p);
+                return;
+            }
+            b.ownedFwd = p.fwd;
+            b.ownedBwd = p.bwd;
+            for (const CommId v : {c, _rev}) {
+                if (v == CliqueSet::kNoComm)
+                    continue;
+                b.ownedFwd.erase(v);
+                b.ownedBwd.erase(v);
+            }
+            b.fcFwd = net.fastColorSet(b.ownedFwd);
+            b.fcBwd = net.fastColorSet(b.ownedBwd);
+        });
+    }
+
+    const std::vector<SwitchId> &oldRoute() const { return _old; }
+    SwitchId src() const { return _old.front(); }
+    SwitchId dst() const { return _old.back(); }
+
+    /**
+     * Widths of pipe (u, v) with the victim riding it u -> v, or
+     * nullopt when no such pipe exists. The with-victim Fast_Color
+     * values are memoized per pipe direction, so repeated relaxations
+     * of one pipe cost one popcount scan in total.
+     */
+    std::optional<HopWidths>
+    hop(SwitchId u, SwitchId v)
+    {
+        const auto it =
+            std::lower_bound(_keys.begin(), _keys.end(), PipeKey(u, v));
+        if (it == _keys.end() || !(*it == PipeKey(u, v)))
+            return std::nullopt;
+        Baseline &b = _base[static_cast<std::size_t>(it - _keys.begin())];
+        const bool forward = u < v;
+        std::int64_t &withC = forward ? b.withCFwd : b.withCBwd;
+        if (withC < 0)
+            withC = _net.fastColorSetPlus(forward ? b.fwd() : b.bwd(), _c);
+        HopWidths h;
+        h.with = static_cast<std::uint32_t>(withC);
+        h.other = forward ? b.fcBwd : b.fcFwd;
+        if (_rev != CliqueSet::kNoComm) {
+            std::int64_t &withR = forward ? b.withRevBwd : b.withRevFwd;
+            if (withR < 0) {
+                withR = _net.fastColorSetPlus(forward ? b.bwd() : b.fwd(),
+                                              _rev);
+            }
+            h.other = static_cast<std::uint32_t>(withR);
         }
-        pb.ownedFwd = p.fwd;
-        pb.ownedBwd = p.bwd;
-        pb.ownedFwd.erase(c);
-        pb.ownedBwd.erase(c);
-        if (rev != CliqueSet::kNoComm) {
-            pb.ownedFwd.erase(rev);
-            pb.ownedBwd.erase(rev);
+        h.width = std::max(b.fcFwd, b.fcBwd);
+        h.channels = b.fcFwd + b.fcBwd;
+        return h;
+    }
+
+    /**
+     * Dijkstra from src() to dst(). Each settled switch v at distance d
+     * calls offers(v, d, relax); relax(w, nd) records w at distance nd
+     * via v if that beats w's best so far. Returns nullopt when dst()
+     * is unreachable or the cheapest path is the current route.
+     */
+    template <typename Offers>
+    std::optional<PricedPath>
+    cheapestPath(Offers &&offers)
+    {
+        const std::size_t n = _net.numSwitches();
+        std::vector<std::uint64_t> dist(n, 0);
+        std::vector<SwitchId> parent(n, kNoSwitch);
+        std::vector<bool> reached(n, false);
+        // Lazy deletion: an improvement pushes a fresh entry and leaves
+        // the old one to be skipped when popped. Live entries pop in
+        // (distance, switch) order; equal distances settle the lower
+        // switch id first, which decides ties between equal-cost paths.
+        using Entry = std::pair<std::uint64_t, SwitchId>;
+        std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
+            frontier;
+        dist[src()] = 0;
+        reached[src()] = true;
+        frontier.push({0, src()});
+        while (!frontier.empty()) {
+            const auto [d, v] = frontier.top();
+            frontier.pop();
+            if (d > dist[v])
+                continue; // stale
+            if (v == dst())
+                break;
+            offers(v, d, [&, v = v](SwitchId w, std::uint64_t nd) {
+                if (!reached[w] || nd < dist[w]) {
+                    reached[w] = true;
+                    dist[w] = nd;
+                    parent[w] = v;
+                    frontier.push({nd, w});
+                }
+            });
         }
-        pb.fwd = &pb.ownedFwd;
-        pb.bwd = &pb.ownedBwd;
-        pb.fcFwd = net.fastColorSet(pb.ownedFwd);
-        pb.fcBwd = net.fastColorSet(pb.ownedBwd);
+        if (!reached[dst()])
+            return std::nullopt;
+        PricedPath path{dist[dst()], {dst()}};
+        while (path.hops.back() != src())
+            path.hops.push_back(parent[path.hops.back()]);
+        std::reverse(path.hops.begin(), path.hops.end());
+        if (path.hops == _old)
+            return std::nullopt;
+        return path;
+    }
+
+    /**
+     * Move the victim (and its paired reverse, mirrored) onto @p path,
+     * keep the move if accept() then returns true, otherwise restore
+     * the old routes. Ends the reroute: pricing must not follow.
+     */
+    template <typename Accept>
+    bool
+    commit(const std::vector<SwitchId> &path, Accept &&accept)
+    {
+        const bool paired = _rev != CliqueSet::kNoComm;
+        _net.setRoute(_c, path);
+        if (paired)
+            _net.setRoute(_rev,
+                          std::vector<SwitchId>(path.rbegin(), path.rend()));
+        if (accept())
+            return true;
+        _net.setRoute(_c, _old);
+        if (paired)
+            _net.setRoute(_rev,
+                          std::vector<SwitchId>(_old.rbegin(), _old.rend()));
+        return false;
+    }
+
+  private:
+    /** One pipe with the victims removed, plus with-victim memo slots. */
+    struct Baseline
+    {
+        const Pipe *live = nullptr; ///< the pipe, if no victim crosses it
+        CommBitset ownedFwd;        ///< victim-free copies otherwise
+        CommBitset ownedBwd;
+        std::uint32_t fcFwd = 0;
+        std::uint32_t fcBwd = 0;
+        std::int64_t withCFwd = -1;   ///< fastColor(fwd + c), -1 = unset
+        std::int64_t withCBwd = -1;   ///< fastColor(bwd + c)
+        std::int64_t withRevFwd = -1; ///< fastColor(fwd + rev)
+        std::int64_t withRevBwd = -1; ///< fastColor(bwd + rev)
+
+        const CommBitset &fwd() const { return live ? live->fwd : ownedFwd; }
+        const CommBitset &bwd() const { return live ? live->bwd : ownedBwd; }
     };
 
-    const std::size_t n = table.keys.size();
-    if (pool && n >= kParallelBaselineThreshold) {
-        // Workers must never race the lazy caches: force-build the
-        // clique masks and clean every pipe's Fast_Color cache first so
-        // the parallel section reads shared state without writing it.
-        net.cliques().prepareCaches();
-        net.totalEstimatedLinks();
-        const std::size_t chunks = std::min<std::size_t>(pool->size(), n);
-        const std::size_t per = (n + chunks - 1) / chunks;
-        pool->parallelFor(chunks, [&](std::size_t chunk) {
-            const std::size_t lo = chunk * per;
-            const std::size_t hi = std::min(lo + per, n);
-            for (std::size_t i = lo; i < hi; ++i)
-                build(i);
-        });
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            build(i);
-    }
-    return table;
-}
+    DesignNetwork &_net;
+    CommId _c;
+    CommId _rev = CliqueSet::kNoComm;
+    std::vector<SwitchId> _old;
+    std::vector<PipeKey> _keys; ///< sorted, as forEachPipe visits them
+    std::vector<Baseline> _base;
+};
 
 /**
- * One consolidation attempt for a single communication. When the
- * opposite-direction communication exists and currently mirrors c's
- * route, the two are priced and rerouted as a joint full-duplex pair —
- * otherwise removing only one of them never shrinks the shared pipe
- * (its width is the max of the two directions) and no move would ever
- * look profitable.
+ * One consolidation attempt for a single communication: the cheapest
+ * path over existing pipes, where a hop costs the links it would add,
+ * replaces the route if it beats the current one and (under a degree
+ * budget) does not worsen the total degree violation.
  */
 bool
 consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
-               bool uni_cost, ThreadPool *pool)
+               bool uni_cost)
 {
-    const std::vector<SwitchId> oldRoute = net.route(c);
-    if (oldRoute.size() < 2)
+    if (net.route(c).size() < 2)
         return false; // intra-switch: nothing to optimize
-    const SwitchId src = oldRoute.front();
-    const SwitchId dst = oldRoute.back();
-
-    // Pair with the reverse communication when it mirrors this route.
-    const CliqueSet &cliques = net.cliques();
-    CommId rev = cliques.findComm(cliques.comm(c).reversed());
-    if (rev == c)
-        rev = CliqueSet::kNoComm;
-    if (rev != CliqueSet::kNoComm) {
-        std::vector<SwitchId> mirrored(net.route(rev).rbegin(),
-                                       net.route(rev).rend());
-        if (mirrored != oldRoute)
-            rev = CliqueSet::kNoComm; // asymmetric: treat c alone
-    }
-
-    // Snapshot every existing pipe with c (and its paired reverse)
-    // removed: the baseline network candidate paths are priced against.
-    // Pipes are full-duplex bundles: width = max of the directional
-    // needs, so a hop riding the empty reverse direction of a busy pipe
-    // is free.
-    const BaselineTable base = buildBaseline(net, c, rev, pool);
+    Reroute rr(net, c);
 
     // Switches already at or beyond the degree budget: hops touching
     // them are penalized so traffic drains away from hubs instead of
@@ -338,43 +405,19 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
             overloaded[s] = degrees[s] > max_degree;
     }
 
-    // Marginal link cost of sending c across hop (u, v) — and, when
-    // paired, the reverse communication across (v, u). With-victim
-    // Fast_Color values memoize in the baseline entry, so repeated
-    // relaxations of the same pipe cost one popcount scan total.
-    auto hopCost = [&](SwitchId u, SwitchId v) -> std::uint32_t {
-        const PipeBaseline *pb = base.find(PipeKey(u, v));
-        if (!pb)
-            return static_cast<std::uint32_t>(-1); // pipe absent
-        const bool forward = u < v;
-        std::int64_t &withC = forward ? pb->withCFwd : pb->withCBwd;
-        if (withC < 0)
-            withC = net.fastColorSetPlus(*(forward ? pb->fwd : pb->bwd),
-                                         c);
-        const auto fcWith = static_cast<std::uint32_t>(withC);
-        std::uint32_t fcOther = forward ? pb->fcBwd : pb->fcFwd;
-        if (rev != CliqueSet::kNoComm) {
-            std::int64_t &withR = forward ? pb->withRevBwd : pb->withRevFwd;
-            if (withR < 0) {
-                withR = net.fastColorSetPlus(
-                    *(forward ? pb->bwd : pb->fwd), rev);
-            }
-            fcOther = static_cast<std::uint32_t>(withR);
-        }
-        if (uni_cost)
-            return fcWith + fcOther - pb->channels();
-        return std::max(fcWith, fcOther) - pb->width();
-    };
-
-    // Weighted hop price: links dominate, overloaded endpoints repel,
-    // hop count breaks ties.
+    // Weighted hop price: marginal links dominate (a hop riding the
+    // empty reverse direction of a busy full-duplex pipe is free),
+    // overloaded endpoints repel, hop count breaks ties.
     constexpr std::uint64_t kLink = 1024;
     constexpr std::uint64_t kOverload = 64;
     constexpr std::uint64_t kHop = 1;
     auto hopPrice = [&](SwitchId u, SwitchId v) -> std::uint64_t {
-        const auto links = hopCost(u, v);
-        if (links == static_cast<std::uint32_t>(-1))
+        const auto h = rr.hop(u, v);
+        if (!h)
             return static_cast<std::uint64_t>(-1) / 4; // pipe absent
+        const std::uint32_t links =
+            uni_cost ? h->with + h->other - h->channels
+                     : std::max(h->with, h->other) - h->width;
         std::uint64_t price = static_cast<std::uint64_t>(links) * kLink +
                               kHop;
         if (max_degree)
@@ -382,162 +425,74 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         return price;
     };
 
+    const auto &oldRoute = rr.oldRoute();
     std::uint64_t currentCost = 0;
     for (std::size_t i = 0; i + 1 < oldRoute.size(); ++i)
         currentCost += hopPrice(oldRoute[i], oldRoute[i + 1]);
 
-    // Dijkstra over existing pipes from src's switch to dst's switch.
-    // Neighbor lists come from the sorted key table, so relaxation
-    // order matches the old whole-map scan.
-    std::vector<std::vector<SwitchId>> adjacent(net.numSwitches());
-    for (const auto &key : base.keys) {
-        adjacent[key.a].push_back(key.b);
-        adjacent[key.b].push_back(key.a);
-    }
-    std::map<SwitchId, std::uint64_t> dist;
-    std::map<SwitchId, SwitchId> parent;
-    std::set<std::pair<std::uint64_t, SwitchId>> frontier;
-    dist[src] = 0;
-    frontier.insert({0, src});
-    while (!frontier.empty()) {
-        const auto [d, v] = *frontier.begin();
-        frontier.erase(frontier.begin());
-        if (v == dst)
-            break;
-        if (d > dist[v])
-            continue;
-        for (const SwitchId w : adjacent[v]) {
-            const std::uint64_t nd = d + hopPrice(v, w);
-            const auto it = dist.find(w);
-            if (it == dist.end() || nd < it->second) {
-                if (it != dist.end())
-                    frontier.erase({it->second, w});
-                dist[w] = nd;
-                parent[w] = v;
-                frontier.insert({nd, w});
-            }
-        }
-    }
-    const auto dit = dist.find(dst);
-    if (dit == dist.end() || dit->second >= currentCost)
+    const auto path =
+        rr.cheapestPath([&](SwitchId v, std::uint64_t d, auto &&relax) {
+            for (const SwitchId w : net.neighbors(v))
+                relax(w, d + hopPrice(v, w));
+        });
+    if (!path || path->cost >= currentCost)
         return false;
-
-    // Reconstruct and commit the cheaper path (both directions when
-    // paired). With a degree budget in force, revert any commit that
-    // worsens the total degree violation — link savings must not undo
-    // repairDegrees' spreading.
-    std::vector<SwitchId> path{dst};
-    while (path.back() != src)
-        path.push_back(parent.at(path.back()));
-    std::reverse(path.begin(), path.end());
-    if (path == oldRoute)
-        return false;
+    // Link savings must not undo repairDegrees' spreading.
     const std::uint64_t violBefore =
         max_degree ? degreeViolation(net, max_degree) : 0;
-    const std::vector<SwitchId> oldRev =
-        rev != CliqueSet::kNoComm ? net.route(rev)
-                                  : std::vector<SwitchId>{};
-    net.setRoute(c, path);
-    if (rev != CliqueSet::kNoComm) {
-        net.setRoute(rev,
-                     std::vector<SwitchId>(path.rbegin(), path.rend()));
-    }
-    if (max_degree && degreeViolation(net, max_degree) > violBefore) {
-        net.setRoute(c, oldRoute);
-        if (rev != CliqueSet::kNoComm)
-            net.setRoute(rev, oldRev);
-        return false;
-    }
-    return true;
+    return rr.commit(path->hops, [&] {
+        return !max_degree || degreeViolation(net, max_degree) <= violBefore;
+    });
 }
 
-} // namespace
-
-namespace {
-
 /**
- * Propose an alternative route for @p c (and commit its mirrored pair
- * when applicable) that avoids overloaded switches, then keep it only
- * if the global (violation, links) measure improves.
+ * One repair attempt for a communication crossing an overloaded
+ * switch: the cheapest path that avoids overloaded interiors, over
+ * existing pipes or new ones between switches with spare degree,
+ * replaces the route if the global (violation, links) measure improves.
  */
 bool
-repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
-          ThreadPool *pool)
+repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
 {
-    const std::vector<SwitchId> oldRoute = net.route(c);
-    if (oldRoute.size() < 2)
+    const auto &route = net.route(c);
+    if (route.size() < 2)
         return false;
-    const SwitchId src = oldRoute.front();
-    const SwitchId dst = oldRoute.back();
 
     // One bulk degree pass feeds both the overload map and the spare
     // budget (for pricing new pipes).
     const auto degrees = net.estimatedDegrees();
     std::vector<bool> overloaded(net.numSwitches(), false);
     std::vector<std::int64_t> spare(net.numSwitches(), 0);
-    bool touches = false;
     for (SwitchId s = 0; s < net.numSwitches(); ++s) {
         overloaded[s] = degrees[s] > max_degree;
         spare[s] = static_cast<std::int64_t>(max_degree) -
                    static_cast<std::int64_t>(degrees[s]);
     }
-    for (const SwitchId s : oldRoute)
-        touches |= overloaded[s];
-    if (!touches)
+    if (std::none_of(route.begin(), route.end(),
+                     [&](SwitchId s) { return overloaded[s]; }))
         return false;
 
-    // Pair with the mirrored reverse comm (full-duplex pipes).
-    const CliqueSet &cliques = net.cliques();
-    CommId rev = cliques.findComm(cliques.comm(c).reversed());
-    if (rev == c)
-        rev = CliqueSet::kNoComm;
-    if (rev != CliqueSet::kNoComm) {
-        std::vector<SwitchId> mirrored(net.route(rev).rbegin(),
-                                       net.route(rev).rend());
-        if (mirrored != oldRoute)
-            rev = CliqueSet::kNoComm;
-    }
+    Reroute rr(net, c);
+    const SwitchId src = rr.src();
+    const SwitchId dst = rr.dst();
 
-    // Baseline pipe state with the victim pair removed, so candidate
-    // hops can be priced by their marginal width contribution (riding
-    // an existing link conflict-free is much cheaper than widening).
-    const BaselineTable base = buildBaseline(net, c, rev, pool);
-
-    // Dijkstra proposal: width widening is expensive, overloaded
-    // interiors are avoided hard, a new pipe is allowed when both ends
-    // have spare degree.
+    // Widening is expensive, overloaded interiors are avoided hard, a
+    // new pipe is allowed when both ends have spare degree.
     constexpr std::uint64_t kAvoid = 1ull << 20;
     constexpr std::uint64_t kLink = 1024;
     constexpr std::uint64_t kNewPipe = 512;
     constexpr std::uint64_t kHop = 1;
     auto price = [&](SwitchId u, SwitchId v) -> std::uint64_t {
         std::uint64_t p = kHop;
-        const PipeBaseline *pb = base.find(PipeKey(u, v));
-        if (!pb) {
+        const auto h = rr.hop(u, v);
+        if (!h) {
             // New pipe: one fresh link, both endpoints must afford it.
             if (spare[u] < 1 || spare[v] < 1)
                 return static_cast<std::uint64_t>(-1) / 8;
             p += kLink + kNewPipe;
         } else {
-            const bool forward = u < v;
-            std::int64_t &withC = forward ? pb->withCFwd : pb->withCBwd;
-            if (withC < 0) {
-                withC = net.fastColorSetPlus(
-                    *(forward ? pb->fwd : pb->bwd), c);
-            }
-            const auto fcWith = static_cast<std::uint32_t>(withC);
-            std::uint32_t fcOther = forward ? pb->fcBwd : pb->fcFwd;
-            if (rev != CliqueSet::kNoComm) {
-                std::int64_t &withR =
-                    forward ? pb->withRevBwd : pb->withRevFwd;
-                if (withR < 0) {
-                    withR = net.fastColorSetPlus(
-                        *(forward ? pb->bwd : pb->fwd), rev);
-                }
-                fcOther = static_cast<std::uint32_t>(withR);
-            }
             const std::uint32_t widen =
-                std::max(fcWith, fcOther) - pb->width();
+                std::max(h->with, h->other) - h->width;
             p += static_cast<std::uint64_t>(widen) * kLink;
             // Widening a pipe consumes endpoint degree too.
             if (widen && (spare[u] < 1 || spare[v] < 1) &&
@@ -552,118 +507,64 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         return p;
     };
 
-    // Large-N mode swaps the complete-graph relaxation (every popped
-    // vertex prices an edge to every other switch — O(S^2) per comm,
-    // the single hottest loop in profile at 256+ ranks) for a sparse
-    // one: existing pipes come from the baseline's key list, and
-    // new-pipe offers — whose price is uniform over targets up to the
-    // two overload surcharges — are broadcast at most once per penalty
-    // class, from the first (hence cheapest) popped vertex of that
-    // class. Offers from spare-less vertices (priced effectively
-    // infinite in the dense path) are dropped entirely: a repair that
-    // could only route through them would never survive the acceptance
-    // check anyway. Small nets keep the dense loop so existing designs
-    // reproduce byte for byte.
+    // Small nets relax every switch pair (the complete graph) so their
+    // designs stay as they are. Large-N mode swaps that O(S^2)-per-comm
+    // loop, the hottest in profile at 256+ ranks, for a sparse one:
+    // existing pipes, plus new-pipe offers — whose price is uniform
+    // over targets up to the two overload surcharges — broadcast at
+    // most once per penalty class, from the first (hence cheapest)
+    // settled switch of that class. Offers from spare-less switches
+    // (priced effectively infinite in the dense loop) are dropped: a
+    // repair that could only route through them would never survive
+    // the acceptance check anyway. The two modes give different designs.
     const bool sparseRelax = net.numProcs() > 64;
-    std::vector<std::vector<SwitchId>> adj;
-    if (sparseRelax) {
-        adj.assign(net.numSwitches(), {});
-        for (const PipeKey &k : base.keys) {
-            adj[k.a].push_back(k.b);
-            adj[k.b].push_back(k.a);
-        }
-    }
-
-    std::map<SwitchId, std::uint64_t> dist;
-    std::map<SwitchId, SwitchId> parent;
-    std::set<std::pair<std::uint64_t, SwitchId>> frontier;
-    dist[src] = 0;
-    frontier.insert({0, src});
-    auto relax = [&](SwitchId w, std::uint64_t nd, SwitchId from) {
-        const auto it = dist.find(w);
-        if (it == dist.end() || nd < it->second) {
-            if (it != dist.end())
-                frontier.erase({it->second, w});
-            dist[w] = nd;
-            parent[w] = from;
-            frontier.insert({nd, w});
-        }
-    };
     bool bulkDone[2] = {false, false};
-    while (!frontier.empty()) {
-        const auto [d, v] = *frontier.begin();
-        frontier.erase(frontier.begin());
-        if (v == dst)
-            break;
-        if (d > dist[v])
-            continue;
-        if (!sparseRelax) {
-            for (SwitchId w = 0; w < net.numSwitches(); ++w) {
-                if (w == v)
-                    continue;
-                relax(w, d + price(v, w), v);
+    const auto path =
+        rr.cheapestPath([&](SwitchId v, std::uint64_t d, auto &&relax) {
+            if (!sparseRelax) {
+                for (SwitchId w = 0; w < net.numSwitches(); ++w) {
+                    if (w != v)
+                        relax(w, d + price(v, w));
+                }
+                return;
             }
-            continue;
-        }
-        for (const SwitchId w : adj[v])
-            relax(w, d + price(v, w), v);
-        if (spare[v] < 1)
-            continue;
-        const bool pen = v != src && overloaded[v];
-        if (bulkDone[pen])
-            continue; // a cheaper same-class vertex already broadcast
-        bulkDone[pen] = true;
-        const std::uint64_t basePrice =
-            d + kHop + kLink + kNewPipe + (pen ? kAvoid : 0);
-        for (SwitchId w = 0; w < net.numSwitches(); ++w) {
-            if (w == v || spare[w] < 1)
-                continue;
-            const std::uint64_t surcharge =
-                w != dst && overloaded[w] ? kAvoid : 0;
-            relax(w, basePrice + surcharge, v);
-        }
-    }
-    if (!dist.count(dst))
-        return false;
-    std::vector<SwitchId> path{dst};
-    while (path.back() != src)
-        path.push_back(parent.at(path.back()));
-    std::reverse(path.begin(), path.end());
-    if (path == oldRoute)
+            for (const SwitchId w : net.neighbors(v))
+                relax(w, d + price(v, w));
+            if (spare[v] < 1)
+                return;
+            const bool pen = v != src && overloaded[v];
+            if (bulkDone[pen])
+                return; // a cheaper same-class switch already broadcast
+            bulkDone[pen] = true;
+            const std::uint64_t basePrice =
+                d + kHop + kLink + kNewPipe + (pen ? kAvoid : 0);
+            for (SwitchId w = 0; w < net.numSwitches(); ++w) {
+                if (w == v || spare[w] < 1)
+                    continue;
+                relax(w, basePrice +
+                             (w != dst && overloaded[w] ? kAvoid : 0));
+            }
+        });
+    if (!path)
         return false;
 
-    // Trial apply; accept only if (violation, links) improves.
-    const std::uint64_t violBefore = degreeViolation(net, max_degree);
-    const std::uint32_t linksBefore = net.totalEstimatedLinks();
-    const std::vector<SwitchId> oldRev =
-        rev != CliqueSet::kNoComm ? net.route(rev)
-                                  : std::vector<SwitchId>{};
-    net.setRoute(c, path);
-    if (rev != CliqueSet::kNoComm) {
-        net.setRoute(rev,
-                     std::vector<SwitchId>(path.rbegin(), path.rend()));
-    }
-    const std::uint64_t violAfter = degreeViolation(net, max_degree);
-    const std::uint32_t linksAfter = net.totalEstimatedLinks();
     // Feasibility buys link slack: shedding a violation is worth up to
     // one extra link (consolidation claws links back afterwards).
-    const bool accept =
-        (violAfter < violBefore && linksAfter <= linksBefore + 1) ||
-        (violAfter == violBefore && linksAfter < linksBefore);
-    if (!accept) {
-        net.setRoute(c, oldRoute);
-        if (rev != CliqueSet::kNoComm)
-            net.setRoute(rev, oldRev);
-        return false;
-    }
-    return true;
+    const std::uint64_t violBefore = degreeViolation(net, max_degree);
+    const std::uint32_t linksBefore = net.totalEstimatedLinks();
+    return rr.commit(path->hops, [&] {
+        const std::uint64_t violAfter = degreeViolation(net, max_degree);
+        const std::uint32_t linksAfter = net.totalEstimatedLinks();
+        return (violAfter < violBefore && linksAfter <= linksBefore + 1) ||
+               (violAfter == violBefore && linksAfter < linksBefore);
+    });
 }
 
 } // namespace
 
 RouteOptStats
 repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
-              std::uint32_t max_passes, Rng *rng, ThreadPool *pool)
+              std::uint32_t max_passes, Rng *rng)
 {
     RouteOptStats stats;
     const auto numComms =
@@ -679,7 +580,7 @@ repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
         bool changed = false;
         for (const CommId c : order) {
             ++stats.triedMoves;
-            if (repairOne(net, c, max_degree, pool)) {
+            if (repairOne(net, c, max_degree)) {
                 ++stats.committedMoves;
                 changed = true;
             }
@@ -692,8 +593,7 @@ repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
 
 RouteOptStats
 consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
-                  std::uint32_t max_degree, Rng *rng, bool uni_cost,
-                  ThreadPool *pool)
+                  std::uint32_t max_degree, Rng *rng, bool uni_cost)
 {
     RouteOptStats stats;
     const auto numComms =
@@ -708,7 +608,7 @@ consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
         bool changed = false;
         for (const CommId c : order) {
             ++stats.triedMoves;
-            if (consolidateOne(net, c, max_degree, uni_cost, pool)) {
+            if (consolidateOne(net, c, max_degree, uni_cost)) {
                 ++stats.committedMoves;
                 changed = true;
             }

@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "design_network.hpp"
-#include "util/thread_pool.hpp"
 
 namespace minnoc::core {
 
@@ -57,18 +56,13 @@ RouteOptStats bestRoute(DesignNetwork &net, SwitchId si, SwitchId sj);
  * constraint by sharing links across contention periods. Toggleable
  * for ablation via PartitionerConfig::consolidateRoutes.
  *
- * @param pool optional worker pool: large per-comm pipe-baseline
- *        snapshots are built in parallel chunks. Results are identical
- *        with or without it; pass nullptr from code already running on
- *        pool workers (no nested parallelism).
  * @return statistics (triedMoves counts examined comms)
  */
 RouteOptStats consolidateRoutes(DesignNetwork &net,
                                 std::uint32_t max_passes = 8,
                                 std::uint32_t max_degree = 0,
                                 Rng *rng = nullptr,
-                                bool uni_cost = false,
-                                ThreadPool *pool = nullptr);
+                                bool uni_cost = false);
 
 /**
  * Degree repair: when some switches exceed the degree budget and
@@ -83,8 +77,7 @@ RouteOptStats consolidateRoutes(DesignNetwork &net,
  */
 RouteOptStats repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
                             std::uint32_t max_passes = 4,
-                            Rng *rng = nullptr,
-                            ThreadPool *pool = nullptr);
+                            Rng *rng = nullptr);
 
 } // namespace minnoc::core
 

@@ -178,40 +178,43 @@ segmentTrace(const trace::Trace &trace, const PhaseConfig &config)
     // Window ranges of the detected phases.
     const std::uint32_t rawPhases =
         static_cast<std::uint32_t>(boundaries.size()) + 1;
+    // Boundaries ascend, so a window's phase is the number of
+    // boundaries at or before it.
     auto windowPhase = [&boundaries](std::uint32_t w) {
-        std::uint32_t p = 0;
-        while (p < boundaries.size() && w >= boundaries[p])
-            ++p;
-        return p;
+        return static_cast<std::uint32_t>(
+            std::upper_bound(boundaries.begin(), boundaries.end(), w) -
+            boundaries.begin());
     };
 
     // Call ownership by majority message count (earliest phase wins
     // ties), so a call site straddling a boundary lands in one phase
-    // and send/recv matching survives sub-trace extraction.
+    // and send/recv matching survives sub-trace extraction. Messages
+    // arrive in window order, so each call's phases never decrease:
+    // a running count of the current phase and a strict-greater
+    // argmax find the same owner as a full calls x phases tally.
     const std::uint32_t numCalls = trace.numCalls();
-    std::vector<std::vector<std::size_t>> votes(
-        numCalls, std::vector<std::size_t>(rawPhases, 0));
+    std::vector<std::uint32_t> rawCallPhase(numCalls, Segmentation::kNoPhase);
+    std::vector<std::uint32_t> curPhase(numCalls, Segmentation::kNoPhase);
+    std::vector<std::size_t> curCount(numCalls, 0);
+    std::vector<std::size_t> bestCount(numCalls, 0);
     for (std::size_t i = 0; i < order.size(); ++i) {
-        const core::Message &m = msgs[order[i]];
-        const std::uint32_t w = static_cast<std::uint32_t>(i / win);
-        ++votes[m.callId][windowPhase(w)];
+        const std::uint32_t c = msgs[order[i]].callId;
+        const std::uint32_t p =
+            windowPhase(static_cast<std::uint32_t>(i / win));
+        if (p != curPhase[c]) {
+            curPhase[c] = p;
+            curCount[c] = 0;
+        }
+        if (++curCount[c] > bestCount[c]) {
+            bestCount[c] = curCount[c];
+            rawCallPhase[c] = p;
+        }
     }
 
-    std::vector<std::uint32_t> rawCallPhase(numCalls, Segmentation::kNoPhase);
     std::vector<std::size_t> phaseCalls(rawPhases, 0);
-    for (std::uint32_t c = 0; c < numCalls; ++c) {
-        std::size_t best = 0;
-        std::uint32_t owner = Segmentation::kNoPhase;
-        for (std::uint32_t p = 0; p < rawPhases; ++p) {
-            if (votes[c][p] > best) {
-                best = votes[c][p];
-                owner = p;
-            }
-        }
-        rawCallPhase[c] = owner;
+    for (const std::uint32_t owner : rawCallPhase)
         if (owner != Segmentation::kNoPhase)
             ++phaseCalls[owner];
-    }
 
     // A phase whose every call was claimed by a neighbor (possible only
     // for degenerate thresholds) is dropped; its window range folds into

@@ -38,8 +38,9 @@ head -1 "$DIR/cg.design" | grep -q "minnoc-design 1"
 grep -q "graph design" "$DIR/cg.dot"
 
 # A semantically invalid trace (peer out of range, an unmatched send,
-# a deadlock that only the phase replay meets) is a user error: exit 1
-# with one "fatal:" line, never an abort.
+# a deadlock that only the phase replay meets) or an out-of-range
+# fault flag is a user error: exit 1 with one "fatal:" line, never an
+# abort.
 expect_one_fatal() {
     rc=0
     "$MINNOC" "$@" 2>"$DIR/bad.err" >/dev/null || rc=$?
@@ -54,6 +55,10 @@ expect_one_fatal analyze "$DIR/unmatched.trace"
 printf 'trace x 2\n0 recv 1 64 1\n0 send 1 64 2\n1 recv 0 64 2\n1 send 0 64 1\n' \
     >"$DIR/deadlock.trace"
 expect_one_fatal phases "$DIR/deadlock.trace"
+expect_one_fatal simulate "$DIR/cg.trace" --network mesh \
+    --flit-error-rate 2
+expect_one_fatal simulate "$DIR/cg.trace" --network mesh \
+    --fail-link-ids 99999
 
 # Phase pipeline: a synthetic phase-shift workload must segment into
 # at least two phases, verify contention-free per phase, and produce a

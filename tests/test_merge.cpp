@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "core/methodology.hpp"
+#include "obs/metrics.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/nas_generators.hpp"
 
@@ -15,7 +19,8 @@ using namespace minnoc::core;
 namespace {
 
 DesignOutcome
-run(trace::Benchmark bench, std::uint32_t ranks, bool merge)
+run(trace::Benchmark bench, std::uint32_t ranks, bool merge,
+    std::uint32_t threads = 0, obs::MetricsRegistry *metrics = nullptr)
 {
     trace::NasConfig cfg;
     cfg.ranks = ranks;
@@ -26,7 +31,29 @@ run(trace::Benchmark bench, std::uint32_t ranks, bool merge)
     mcfg.partitioner.constraints.maxDegree = 5;
     mcfg.mergeSwitches = merge;
     mcfg.restarts = 8;
+    mcfg.threads = threads;
+    mcfg.metrics = metrics;
     return runMethodology(ks, mcfg);
+}
+
+constexpr std::array<const char *, 5> kMergeCounters = {
+    "pairs_tried", "skipped_degree", "rejected_estimate",
+    "rejected_finalize", "accepted"};
+
+/** The methodology/merge counters of one BT-9 run, in kMergeCounters order. */
+std::array<std::uint64_t, 5>
+mergeCounters(std::uint32_t threads, DesignOutcome *outcome)
+{
+    obs::MetricsRegistry metrics;
+    *outcome = run(trace::Benchmark::BT, 9, true, threads, &metrics);
+    std::array<std::uint64_t, 5> values{};
+    for (std::size_t i = 0; i < kMergeCounters.size(); ++i) {
+        values[i] = metrics
+                        .counter(std::string("methodology/merge/") +
+                                 kMergeCounters[i])
+                        .value();
+    }
+    return values;
 }
 
 } // namespace
@@ -78,4 +105,24 @@ TEST(MergeSwitches, DeterministicAcrossRuns)
     EXPECT_EQ(a.design.numSwitches, b.design.numSwitches);
     EXPECT_EQ(a.design.totalLinks(), b.design.totalLinks());
     EXPECT_EQ(a.design.procHome, b.design.procHome);
+}
+
+TEST(MergeSwitches, CountersAreThreadInvariantAndAddUp)
+{
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "observability compiled out";
+    DesignOutcome one;
+    DesignOutcome four;
+    const auto c1 = mergeCounters(1, &one);
+    const auto c4 = mergeCounters(4, &four);
+    EXPECT_EQ(c1, c4);
+    EXPECT_EQ(one.design.procHome, four.design.procHome);
+
+    // Every pair tried ends in exactly one outcome.
+    EXPECT_EQ(c1[0], c1[1] + c1[2] + c1[3] + c1[4]);
+    // Each accepted merge removes one switch from the restart winner.
+    const auto plain = run(trace::Benchmark::BT, 9, false, 1);
+    EXPECT_GT(c1[4], 0u);
+    EXPECT_EQ(c1[4],
+              plain.design.numSwitches - one.design.numSwitches);
 }

@@ -481,6 +481,14 @@ cmdSimulate(const Args &args)
     fcfg.failAtCycle = static_cast<sim::Cycle>(args.getU64("fail-at", 0));
     fcfg.maxRetransmits =
         args.getU32("max-retransmits", fcfg.maxRetransmits);
+    if (!(fcfg.flitErrorRate >= 0.0 && fcfg.flitErrorRate <= 1.0))
+        fatal("flag --flit-error-rate: ", args.get("flit-error-rate"),
+              " is outside [0, 1]");
+    for (const auto l : fcfg.failLinks) {
+        if (l >= net.topo->numLinks())
+            fatal("flag --fail-link-ids: link ", l, " out of range (",
+                  name, " has ", net.topo->numLinks(), " links)");
+    }
 
     const bool faulty = fcfg.randomFailLinks > 0 ||
                         !fcfg.failLinks.empty() ||
