@@ -16,7 +16,10 @@
  * leave every count unchanged. The DesignBytes tests close that gap:
  * they pin a 64-bit FNV-1a hash of the saved design text (the same
  * bytes `minnoc design --out` writes) for each NAS golden and for one
- * 72-rank closed-form pattern that exercises the large-N degree repair.
+ * 72-rank closed-form pattern that exercises the large-N degree repair,
+ * plus three runs at the `minnoc design` defaults: BT-25 (several
+ * accepted switch merges), BT-16 under unidirectional link pricing,
+ * and the repair-heavy COH-16 coherence trace (which skips merging).
  * Those hashes are not regenerated by MINNOC_REGEN_GOLDEN; a PR that
  * changes design output on purpose updates them by hand and says so.
  */
@@ -30,6 +33,7 @@
 #include <sstream>
 #include <string>
 
+#include "coh/coherence.hpp"
 #include "core/design_io.hpp"
 #include "core/methodology.hpp"
 #include "trace/analyzer.hpp"
@@ -210,6 +214,63 @@ TEST(DesignBytes, LargeScaleRepairMatchesPinnedHash)
     const auto outcome = core::runMethodology(
         trace::makeScalePattern("fan_uni", 72), cfg);
     EXPECT_EQ("9e5ad4703672e7f8", designHash(outcome.design));
+}
+
+namespace {
+
+/** `minnoc design` defaults: degree 5, 16 restarts, seed 1. */
+core::MethodologyConfig
+cliDesignConfig()
+{
+    core::MethodologyConfig cfg;
+    cfg.partitioner.constraints.maxDegree = 5;
+    cfg.partitioner.seed = 1;
+    cfg.restarts = 16;
+    cfg.threads = 1;
+    return cfg;
+}
+
+/** A NAS trace as `minnoc gen --bench B --ranks N` writes it. */
+core::CliqueSet
+cliNasCliques(trace::Benchmark bench, std::uint32_t ranks)
+{
+    trace::NasConfig tcfg;
+    tcfg.ranks = ranks;
+    tcfg.iterations = 3;
+    tcfg.seed = 1;
+    return trace::analyzeByCall(trace::generateBenchmark(bench, tcfg));
+}
+
+} // namespace
+
+TEST(DesignBytes, Bt25CliDefaultsMatchesPinnedHash)
+{
+    // Five switch merges are accepted here, each after a full
+    // consolidation pass over the merged network.
+    const auto outcome = core::runMethodology(
+        cliNasCliques(trace::Benchmark::BT, 25), cliDesignConfig());
+    EXPECT_EQ("3781d2540bd8a8e2", designHash(outcome.design));
+}
+
+TEST(DesignBytes, Bt16UnidirectionalMatchesPinnedHash)
+{
+    // Unidirectional links price a route hop as fwd + bwd channels
+    // instead of the duplex maximum.
+    auto cfg = cliDesignConfig();
+    cfg.finalize.unidirectional = true;
+    const auto outcome = core::runMethodology(
+        cliNasCliques(trace::Benchmark::BT, 16), cfg);
+    EXPECT_EQ("0e788ce13b0b6adf", designHash(outcome.design));
+}
+
+TEST(DesignBytes, Coherence16MatchesPinnedHash)
+{
+    // No seed meets degree 5 on the MSI coherence trace: every restart
+    // runs degree repair and the switch merge is skipped.
+    const auto outcome = core::runMethodology(
+        trace::analyzeByCall(coh::coherenceTrace(coh::CoherenceConfig{})),
+        cliDesignConfig());
+    EXPECT_EQ("20757049e2114e18", designHash(outcome.design));
 }
 
 TEST(GoldenDesigns, PerturbationFailsLoudly)
