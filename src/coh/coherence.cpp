@@ -477,31 +477,40 @@ parseMix(std::string_view text, std::string &error)
     return mix;
 }
 
-void
-CoherenceConfig::validate() const
+std::string
+CoherenceConfig::problem() const
 {
     if (ranks < 2)
-        panic("coh: need at least 2 ranks, got ", ranks);
+        return "need at least 2 ranks, got " + std::to_string(ranks);
     if (blocks == 0)
-        panic("coh: need at least 1 block");
+        return "need at least 1 block";
     if (blocks > (1u << 20))
-        panic("coh: blocks ", blocks, " exceeds the 2^20 bound");
+        return "blocks " + std::to_string(blocks) +
+               " exceeds the 2^20 bound";
     if (maxSharers == 0)
-        panic("coh: need at least 1 sharer pointer");
+        return "need at least 1 sharer pointer";
     if (rounds == 0 || opsPerRankPerRound == 0)
-        panic("coh: rounds and ops per rank must be positive");
+        return "rounds and ops per rank must be positive";
     if (blockBytes == 0 || controlBytes == 0)
-        panic("coh: message payloads must be positive");
+        return "message payloads must be positive";
     if (computeCycles < 0)
-        panic("coh: compute cycles must be non-negative");
+        return "compute cycles must be non-negative";
     double sum = 0.0;
     for (const double w : mix.weights) {
         if (!std::isfinite(w) || w < 0.0)
-            panic("coh: mix weights must be finite and non-negative");
+            return "mix weights must be finite and non-negative";
         sum += w;
     }
     if (sum <= 0.0)
-        panic("coh: mix weights sum to zero");
+        return "mix weights sum to zero";
+    return "";
+}
+
+void
+CoherenceConfig::validate() const
+{
+    if (const auto why = problem(); !why.empty())
+        panic("coh: ", why);
 }
 
 std::uint64_t

@@ -110,7 +110,10 @@ struct CoherenceConfig
     HomeMap homeMap = HomeMap::BlockInterleaved;
     SharingMix mix;
 
-    /** Panics with a description on out-of-range parameters. */
+    /** The first out-of-range parameter, described; empty if none. */
+    std::string problem() const;
+
+    /** Panics with problem() on out-of-range parameters. */
     void validate() const;
 };
 

@@ -117,6 +117,13 @@ class CliqueSet
     const std::vector<std::uint32_t> &masksBySize() const;
 
     /**
+     * The cliques holding communication @p c, in masksBySize() order:
+     * the only cliques whose intersection with a comm set can grow
+     * when @p c joins it.
+     */
+    const std::vector<std::uint32_t> &masksOf(CommId c) const;
+
+    /**
      * Force-build every lazy cache (clique masks, contention index).
      * The lazy builders mutate shared state and are not safe to race;
      * call this once before handing the set to concurrent readers.
@@ -174,6 +181,7 @@ class CliqueSet
     mutable std::vector<CommBitset> _masks;
     mutable std::vector<MaskInfo> _maskInfos;
     mutable std::vector<std::uint32_t> _masksBySize;
+    mutable std::vector<std::vector<std::uint32_t>> _commMasks;
     mutable bool _masksValid = false;
 };
 

@@ -205,6 +205,13 @@ DesignNetwork::pipe(const PipeKey &key) const
     return it == _pipes.end() ? kEmpty : it->second;
 }
 
+const Pipe *
+DesignNetwork::findPipe(const PipeKey &key) const
+{
+    const auto it = _pipes.find(key);
+    return it == _pipes.end() ? nullptr : &it->second;
+}
+
 std::uint32_t
 DesignNetwork::computeFastColor(const CommBitset &comms) const
 {
@@ -245,20 +252,22 @@ DesignNetwork::fastColorSet(const CommBitset &comms) const
 }
 
 std::uint32_t
-DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra) const
+DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra,
+                                std::uint32_t comms_fc) const
 {
     g_fcCalls.fetch_add(1, std::memory_order_relaxed);
-    // |K ∩ (comms + extra)| can exceed neither |K| nor |comms| + 1.
+    // A clique K holding extra meets the union in 1 + |K ∩ comms|,
+    // which can exceed neither |K| nor |comms| + 1.
     const auto cap = static_cast<std::uint32_t>(comms.size()) + 1;
     const auto &masks = _cliques->cliqueMasks();
     const auto &infos = _cliques->maskInfos();
     const auto &sw = comms.words();
-    std::uint32_t best = 0;
-    for (const std::uint32_t m : _cliques->masksBySize()) {
-        if (infos[m].popcount <= best)
-            break;
+    std::uint32_t best = comms_fc;
+    for (const std::uint32_t m : _cliques->masksOf(extra)) {
+        if (best >= cap || infos[m].popcount <= best)
+            break; // descending sizes: nothing later can beat best
         const auto &mw = masks[m].words();
-        std::uint32_t common = masks[m].test(extra) ? 1u : 0u;
+        std::uint32_t common = 1;
         for (const std::uint32_t w : infos[m].nonzeroWords) {
             if (w >= sw.size())
                 break;
@@ -266,8 +275,6 @@ DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra) const
                 std::popcount(mw[w] & sw[w]));
         }
         best = std::max(best, common);
-        if (best >= cap)
-            break;
     }
     return best;
 }

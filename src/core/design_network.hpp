@@ -157,6 +157,12 @@ class DesignNetwork
     const Pipe &pipe(const PipeKey &key) const;
 
     /**
+     * The pipe record for @p key, or nullptr when no such pipe exists.
+     * The pointer stays valid until a route mutation erases the pipe.
+     */
+    const Pipe *findPipe(const PipeKey &key) const;
+
+    /**
      * Fast_Color (Section 3.3): lower-bound estimate of the number of
      * full-duplex links pipe @p key needs, i.e. the max over cliques K
      * and directions dir of |K intersect C_dir(pipe)|. Served from the
@@ -177,10 +183,13 @@ class DesignNetwork
 
     /**
      * Fast_Color of (@p comms + the single id @p extra) without
-     * materializing the union; @p extra must not be in @p comms.
+     * materializing the union; @p extra must not be in @p comms and
+     * @p comms_fc must be fastColorSet(@p comms). Only the cliques
+     * holding @p extra are scanned: every other clique meets the union
+     * exactly as it meets @p comms, which @p comms_fc already bounds.
      */
-    std::uint32_t fastColorSetPlus(const CommBitset &comms,
-                                   CommId extra) const;
+    std::uint32_t fastColorSetPlus(const CommBitset &comms, CommId extra,
+                                   std::uint32_t comms_fc) const;
 
     /**
      * The original ordered-set Fast_Color implementation, kept as the

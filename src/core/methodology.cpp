@@ -185,7 +185,8 @@ runOnce(const CliqueSet &cliques, const MethodologyConfig &config,
  * design still meets the constraints with at most one extra link.
  * Publishes the methodology/merge counters: every pair tried ends in
  * exactly one of skipped_degree, rejected_estimate, rejected_finalize
- * or accepted.
+ * or accepted; consolidate_{tried,searched,committed} sum the
+ * consolidation work of every attempt.
  */
 void
 mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
@@ -197,6 +198,9 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
     std::uint64_t rejectedEstimate = 0;
     std::uint64_t rejectedFinalize = 0;
     std::uint64_t accepted = 0;
+    std::uint64_t consolidateTried = 0;
+    std::uint64_t consolidateSearched = 0;
+    std::uint64_t consolidateCommitted = 0;
     const auto &dc = pcfg.constraints;
     // Merge candidates differ from the incumbent in the few pipes around
     // the merged pair; the incremental verifier re-checks only those.
@@ -237,9 +241,12 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
                 const std::vector<ProcId> procs = net.procsOf(t);
                 for (const ProcId p : procs)
                     net.moveProc(p, s);
-                consolidateRoutes(net, pcfg.consolidatePasses,
-                                  dc.maxDegree, &rng,
-                                  pcfg.unidirectionalCost);
+                const auto cs = consolidateRoutes(
+                    net, pcfg.consolidatePasses, dc.maxDegree, &rng,
+                    pcfg.unidirectionalCost);
+                consolidateTried += cs.triedMoves;
+                consolidateSearched += cs.searched;
+                consolidateCommitted += cs.committedMoves;
                 if (!violatingSwitches(net, dc).empty()) {
                     ++rejectedEstimate;
                     net = std::move(snapshot);
@@ -273,6 +280,12 @@ mergeSwitches(DesignNetwork &net, DesignOutcome &outcome,
             m.counter("methodology/merge/rejected_finalize")
                 .add(rejectedFinalize);
             m.counter("methodology/merge/accepted").add(accepted);
+            m.counter("methodology/merge/consolidate_tried")
+                .add(consolidateTried);
+            m.counter("methodology/merge/consolidate_searched")
+                .add(consolidateSearched);
+            m.counter("methodology/merge/consolidate_committed")
+                .add(consolidateCommitted);
         }
     }
 }

@@ -193,10 +193,9 @@ struct PricedPath
  * degree repair share. Construction pairs @p c with the opposite-
  * direction communication when that mirrors c's route — pipes are
  * full-duplex bundles whose width is the max of the two directions, so
- * moving one direction alone never narrows a shared pipe — and
- * snapshots every pipe with the pair removed. Callers price hops with
- * hop(), search with cheapestPath() under their own neighbour offers,
- * and commit() the result under their own acceptance rule.
+ * moving one direction alone never narrows a shared pipe. Callers price
+ * hops with hop(), search with cheapestPath() under their own neighbour
+ * offers, and commit() the result under their own acceptance rule.
  */
 class Reroute
 {
@@ -211,35 +210,6 @@ class Reroute
              !std::equal(_old.begin(), _old.end(),
                          net.route(_rev).rbegin(), net.route(_rev).rend())))
             _rev = CliqueSet::kNoComm; // asymmetric: treat c alone
-
-        // Pipes the victims do not cross point straight at the live
-        // pipe's sets and cached Fast_Color values (valid because
-        // pricing only reads them before any route commits); only the
-        // handful of pipes on the victims' routes own victim-free
-        // copies.
-        net.forEachPipe([&](const PipeKey &key, const Pipe &p) {
-            _keys.push_back(key);
-            Baseline &b = _base.emplace_back();
-            const bool touched =
-                p.fwd.test(c) || p.bwd.test(c) ||
-                (_rev != CliqueSet::kNoComm &&
-                 (p.fwd.test(_rev) || p.bwd.test(_rev)));
-            if (!touched) {
-                b.live = &p;
-                std::tie(b.fcFwd, b.fcBwd) = net.fastColorDirs(p);
-                return;
-            }
-            b.ownedFwd = p.fwd;
-            b.ownedBwd = p.bwd;
-            for (const CommId v : {c, _rev}) {
-                if (v == CliqueSet::kNoComm)
-                    continue;
-                b.ownedFwd.erase(v);
-                b.ownedBwd.erase(v);
-            }
-            b.fcFwd = net.fastColorSet(b.ownedFwd);
-            b.fcBwd = net.fastColorSet(b.ownedBwd);
-        });
     }
 
     const std::vector<SwitchId> &oldRoute() const { return _old; }
@@ -248,30 +218,54 @@ class Reroute
 
     /**
      * Widths of pipe (u, v) with the victim riding it u -> v, or
-     * nullopt when no such pipe exists. The with-victim Fast_Color
-     * values are memoized per pipe direction, so repeated relaxations
-     * of one pipe cost one popcount scan in total.
+     * nullopt when no such pipe exists. Only the pipes of the old
+     * route carry the victims; each gets a victim-free baseline, with
+     * memoized with-victim values, the first time it is priced. Every
+     * other pipe is priced straight from the live pipe and its cached
+     * Fast_Color (valid because pricing only reads it before any route
+     * commits), so a reroute costs O(pipes reached), not O(network).
      */
     std::optional<HopWidths>
     hop(SwitchId u, SwitchId v)
     {
-        const auto it =
-            std::lower_bound(_keys.begin(), _keys.end(), PipeKey(u, v));
-        if (it == _keys.end() || !(*it == PipeKey(u, v)))
+        const PipeKey key(u, v);
+        const Pipe *live = _net.findPipe(key);
+        if (!live)
             return std::nullopt;
-        Baseline &b = _base[static_cast<std::size_t>(it - _keys.begin())];
         const bool forward = u < v;
-        std::int64_t &withC = forward ? b.withCFwd : b.withCBwd;
-        if (withC < 0)
-            withC = _net.fastColorSetPlus(forward ? b.fwd() : b.bwd(), _c);
+        const bool touched =
+            live->fwd.test(_c) || live->bwd.test(_c) ||
+            (_rev != CliqueSet::kNoComm &&
+             (live->fwd.test(_rev) || live->bwd.test(_rev)));
         HopWidths h;
+        if (!touched) {
+            const auto [fcFwd, fcBwd] = _net.fastColorDirs(*live);
+            h.with = forward ? _net.fastColorSetPlus(live->fwd, _c, fcFwd)
+                             : _net.fastColorSetPlus(live->bwd, _c, fcBwd);
+            h.other = forward ? fcBwd : fcFwd;
+            if (_rev != CliqueSet::kNoComm) {
+                h.other =
+                    forward ? _net.fastColorSetPlus(live->bwd, _rev, fcBwd)
+                            : _net.fastColorSetPlus(live->fwd, _rev, fcFwd);
+            }
+            h.width = std::max(fcFwd, fcBwd);
+            h.channels = fcFwd + fcBwd;
+            return h;
+        }
+        Baseline &b = baseline(key, *live);
+        std::int64_t &withC = forward ? b.withCFwd : b.withCBwd;
+        if (withC < 0) {
+            withC = forward ? _net.fastColorSetPlus(b.fwd, _c, b.fcFwd)
+                            : _net.fastColorSetPlus(b.bwd, _c, b.fcBwd);
+        }
         h.with = static_cast<std::uint32_t>(withC);
         h.other = forward ? b.fcBwd : b.fcFwd;
         if (_rev != CliqueSet::kNoComm) {
             std::int64_t &withR = forward ? b.withRevBwd : b.withRevFwd;
             if (withR < 0) {
-                withR = _net.fastColorSetPlus(forward ? b.bwd() : b.fwd(),
-                                              _rev);
+                withR = forward
+                            ? _net.fastColorSetPlus(b.bwd, _rev, b.fcBwd)
+                            : _net.fastColorSetPlus(b.fwd, _rev, b.fcFwd);
             }
             h.other = static_cast<std::uint32_t>(withR);
         }
@@ -355,55 +349,88 @@ class Reroute
     }
 
   private:
-    /** One pipe with the victims removed, plus with-victim memo slots. */
+    /** A pipe of the old route with the victims removed, plus memos. */
     struct Baseline
     {
-        const Pipe *live = nullptr; ///< the pipe, if no victim crosses it
-        CommBitset ownedFwd;        ///< victim-free copies otherwise
-        CommBitset ownedBwd;
+        PipeKey key;
+        CommBitset fwd;
+        CommBitset bwd;
         std::uint32_t fcFwd = 0;
         std::uint32_t fcBwd = 0;
         std::int64_t withCFwd = -1;   ///< fastColor(fwd + c), -1 = unset
         std::int64_t withCBwd = -1;   ///< fastColor(bwd + c)
         std::int64_t withRevFwd = -1; ///< fastColor(fwd + rev)
         std::int64_t withRevBwd = -1; ///< fastColor(bwd + rev)
-
-        const CommBitset &fwd() const { return live ? live->fwd : ownedFwd; }
-        const CommBitset &bwd() const { return live ? live->bwd : ownedBwd; }
     };
+
+    /** The baseline of old-route pipe @p key, built on first use. */
+    Baseline &
+    baseline(const PipeKey &key, const Pipe &live)
+    {
+        // At most one entry per old-route hop: a scan beats any index.
+        for (Baseline &b : _base) {
+            if (b.key == key)
+                return b;
+        }
+        Baseline &b = _base.emplace_back();
+        b.key = key;
+        b.fwd = live.fwd;
+        b.bwd = live.bwd;
+        for (const CommId v : {_c, _rev}) {
+            if (v == CliqueSet::kNoComm)
+                continue;
+            b.fwd.erase(v);
+            b.bwd.erase(v);
+        }
+        b.fcFwd = _net.fastColorSet(b.fwd);
+        b.fcBwd = _net.fastColorSet(b.bwd);
+        return b;
+    }
 
     DesignNetwork &_net;
     CommId _c;
     CommId _rev = CliqueSet::kNoComm;
     std::vector<SwitchId> _old;
-    std::vector<PipeKey> _keys; ///< sorted, as forEachPipe visits them
-    std::vector<Baseline> _base;
+    std::vector<Baseline> _base; ///< old-route pipes priced so far
 };
+
+/** Summed excess of @p degrees over @p max_degree at switches @p at. */
+std::uint64_t
+violationAt(const std::vector<std::uint32_t> &degrees,
+            const std::vector<SwitchId> &at, std::uint32_t max_degree)
+{
+    std::uint64_t total = 0;
+    for (const SwitchId s : at) {
+        if (degrees[s] > max_degree)
+            total += degrees[s] - max_degree;
+    }
+    return total;
+}
 
 /**
  * One consolidation attempt for a single communication: the cheapest
  * path over existing pipes, where a hop costs the links it would add,
  * replaces the route if it beats the current one and (under a degree
- * budget) does not worsen the total degree violation.
+ * budget) does not worsen the total degree violation. @p degrees holds
+ * every switch's estimatedDegree on entry and is kept current on
+ * commit; it is empty when there is no budget.
  */
 bool
 consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
-               bool uni_cost)
+               bool uni_cost, std::vector<std::uint32_t> &degrees,
+               RouteOptStats &stats)
 {
     if (net.route(c).size() < 2)
         return false; // intra-switch: nothing to optimize
     Reroute rr(net, c);
 
-    // Switches already at or beyond the degree budget: hops touching
-    // them are penalized so traffic drains away from hubs instead of
-    // piling onto them (total-links greed would otherwise happily grow
-    // one giant hub switch).
-    std::vector<bool> overloaded(net.numSwitches(), false);
-    if (max_degree) {
-        const auto degrees = net.estimatedDegrees();
-        for (SwitchId s = 0; s < net.numSwitches(); ++s)
-            overloaded[s] = degrees[s] > max_degree;
-    }
+    // Switches already beyond the degree budget: hops touching them
+    // are penalized so traffic drains away from hubs instead of piling
+    // onto them (total-links greed would otherwise happily grow one
+    // giant hub switch).
+    auto overloaded = [&](SwitchId s) -> std::uint64_t {
+        return max_degree && degrees[s] > max_degree;
+    };
 
     // Weighted hop price: marginal links dominate (a hop riding the
     // empty reverse direction of a busy full-duplex pipe is free),
@@ -418,18 +445,23 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         const std::uint32_t links =
             uni_cost ? h->with + h->other - h->channels
                      : std::max(h->with, h->other) - h->width;
-        std::uint64_t price = static_cast<std::uint64_t>(links) * kLink +
-                              kHop;
-        if (max_degree)
-            price += kOverload * (overloaded[u] + overloaded[v]);
-        return price;
+        return static_cast<std::uint64_t>(links) * kLink + kHop +
+               kOverload * (overloaded(u) + overloaded(v));
     };
 
     const auto &oldRoute = rr.oldRoute();
     std::uint64_t currentCost = 0;
     for (std::size_t i = 0; i + 1 < oldRoute.size(); ++i)
         currentCost += hopPrice(oldRoute[i], oldRoute[i + 1]);
+    // A one-hop route that adds no links already has the least price
+    // any path can have: every other path has at least two hops, each
+    // priced >= kHop, and carries the same endpoint penalties.
+    if (oldRoute.size() == 2 &&
+        currentCost == kHop + kOverload * (overloaded(rr.src()) +
+                                           overloaded(rr.dst())))
+        return false;
 
+    ++stats.searched;
     const auto path =
         rr.cheapestPath([&](SwitchId v, std::uint64_t d, auto &&relax) {
             for (const SwitchId w : net.neighbors(v))
@@ -437,11 +469,29 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
         });
     if (!path || path->cost >= currentCost)
         return false;
-    // Link savings must not undo repairDegrees' spreading.
+    if (!max_degree)
+        return rr.commit(path->hops, [] { return true; });
+
+    // Link savings must not undo repairDegrees' spreading. Only the
+    // switches on the old or new route can change degree, so comparing
+    // the violation over them decides exactly as a whole-network sum.
+    std::vector<SwitchId> moved = oldRoute;
+    moved.insert(moved.end(), path->hops.begin(), path->hops.end());
+    std::sort(moved.begin(), moved.end());
+    moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
     const std::uint64_t violBefore =
-        max_degree ? degreeViolation(net, max_degree) : 0;
+        violationAt(degrees, moved, max_degree);
+    std::vector<std::uint32_t> before(moved.size());
+    for (std::size_t i = 0; i < moved.size(); ++i)
+        before[i] = degrees[moved[i]];
     return rr.commit(path->hops, [&] {
-        return !max_degree || degreeViolation(net, max_degree) <= violBefore;
+        for (const SwitchId s : moved)
+            degrees[s] = net.estimatedDegree(s);
+        if (violationAt(degrees, moved, max_degree) <= violBefore)
+            return true;
+        for (std::size_t i = 0; i < moved.size(); ++i)
+            degrees[moved[i]] = before[i];
+        return false;
     });
 }
 
@@ -452,7 +502,8 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
  * replaces the route if the global (violation, links) measure improves.
  */
 bool
-repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
+repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
+          RouteOptStats &stats)
 {
     const auto &route = net.route(c);
     if (route.size() < 2)
@@ -519,6 +570,7 @@ repairOne(DesignNetwork &net, CommId c, std::uint32_t max_degree)
     // the acceptance check anyway. The two modes give different designs.
     const bool sparseRelax = net.numProcs() > 64;
     bool bulkDone[2] = {false, false};
+    ++stats.searched;
     const auto path =
         rr.cheapestPath([&](SwitchId v, std::uint64_t d, auto &&relax) {
             if (!sparseRelax) {
@@ -580,7 +632,7 @@ repairDegrees(DesignNetwork &net, std::uint32_t max_degree,
         bool changed = false;
         for (const CommId c : order) {
             ++stats.triedMoves;
-            if (repairOne(net, c, max_degree)) {
+            if (repairOne(net, c, max_degree, stats)) {
                 ++stats.committedMoves;
                 changed = true;
             }
@@ -601,6 +653,11 @@ consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
     std::vector<CommId> order(numComms);
     for (CommId c = 0; c < numComms; ++c)
         order[c] = c;
+    // One degree sweep for the whole call; each commit refreshes the
+    // switches it touched.
+    std::vector<std::uint32_t> degrees;
+    if (max_degree)
+        degrees = net.estimatedDegrees();
     for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
         const std::uint32_t before = net.totalEstimatedLinks();
         if (rng)
@@ -608,7 +665,8 @@ consolidateRoutes(DesignNetwork &net, std::uint32_t max_passes,
         bool changed = false;
         for (const CommId c : order) {
             ++stats.triedMoves;
-            if (consolidateOne(net, c, max_degree, uni_cost)) {
+            if (consolidateOne(net, c, max_degree, uni_cost, degrees,
+                               stats)) {
                 ++stats.committedMoves;
                 changed = true;
             }

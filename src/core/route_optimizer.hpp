@@ -20,6 +20,8 @@ namespace minnoc::core {
 struct RouteOptStats
 {
     std::uint32_t triedMoves = 0;
+    /** Tried moves that ran a path search (Dijkstra) to decide. */
+    std::uint32_t searched = 0;
     std::uint32_t committedMoves = 0;
     std::uint32_t linksSaved = 0;
 };

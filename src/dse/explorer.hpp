@@ -36,6 +36,9 @@
 
 namespace minnoc::dse {
 
+/** Most virtual channels per port a grid point may ask for. */
+inline constexpr std::uint32_t kMaxVcs = 32;
+
 /**
  * The swept parameter grid; expand() emits the cross product in a
  * fixed nested order (degree, restarts, seed, directionality, VCs,

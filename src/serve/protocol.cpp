@@ -281,7 +281,7 @@ parseRequest(const std::string &line, RequestError &error)
             req.grid.seeds = list;
         }
         if (const auto *v = root->find("vcs")) {
-            if (!asUintList(*v, 1, 32, 64, list))
+            if (!asUintList(*v, 1, dse::kMaxVcs, 64, list))
                 return badField("vcs",
                                 "must be a non-empty array of integers "
                                 "in [1, 32]");
@@ -413,7 +413,7 @@ parseRequest(const std::string &line, RequestError &error)
             req.unidirectional = u != 0;
         }
         if (const auto *v = root->find("vcs")) {
-            if (!asUint(*v, 32, u) || u < 1)
+            if (!asUint(*v, dse::kMaxVcs, u) || u < 1)
                 return badField("vcs", "must be an integer in [1, 32]");
             req.vcs = static_cast<std::uint32_t>(u);
         }

@@ -59,6 +59,19 @@ expect_one_fatal simulate "$DIR/cg.trace" --network mesh \
     --flit-error-rate 2
 expect_one_fatal simulate "$DIR/cg.trace" --network mesh \
     --fail-link-ids 99999
+# Out-of-range generator and sweep parameters are refused up front,
+# before any trace is built or any point is simulated.
+expect_one_fatal gen --coherence 1 --ranks 4 --blocks 0
+expect_one_fatal gen --coherence 1 --ranks 4 --sharers 0
+expect_one_fatal explore "$DIR/cg.trace" --vcs 0 --degrees 4 --cache 0
+
+# Failing every eligible link disconnects every channel: the run still
+# completes, every receive is lost and every channel is listed.
+"$MINNOC" simulate "$DIR/cg.trace" --network mesh --fail-links 99999 \
+    >"$DIR/allfail.out" 2>/dev/null
+grep -q "dropped=24 recvs_lost=24 delivered_fraction=0.0000" \
+    "$DIR/allfail.out"
+test "$(grep -c "undeliverable channel:" "$DIR/allfail.out")" -eq 24
 
 # Phase pipeline: a synthetic phase-shift workload must segment into
 # at least two phases, verify contention-free per phase, and produce a

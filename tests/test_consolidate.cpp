@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/design_network.hpp"
 #include "core/route_optimizer.hpp"
 #include "util/rng.hpp"
@@ -109,6 +112,133 @@ TEST(Consolidate, NoOpOnOptimalNetwork)
     const auto stats = consolidateRoutes(net, 4);
     EXPECT_EQ(stats.committedMoves, 0u);
     EXPECT_EQ(net.totalEstimatedLinks(), before);
+}
+
+namespace {
+
+/** Summed excess of the estimated switch degrees over @p budget. */
+std::uint64_t
+degreeViolation(const DesignNetwork &net, std::uint32_t budget)
+{
+    std::uint64_t total = 0;
+    for (const auto d : net.estimatedDegrees()) {
+        if (d > budget)
+            total += d - budget;
+    }
+    return total;
+}
+
+/** A random pattern: @p phases partial permutations of ks's procs. */
+void
+randomPattern(CliqueSet &ks, std::uint32_t phases, Rng &rng)
+{
+    const std::uint32_t procs = ks.numProcs();
+    std::vector<ProcId> perm(procs);
+    for (ProcId p = 0; p < procs; ++p)
+        perm[p] = p;
+    for (std::uint32_t k = 0; k < phases; ++k) {
+        rng.shuffle(perm);
+        std::vector<Comm> comms;
+        for (ProcId p = 0; p < procs; ++p) {
+            if (perm[p] != p && rng.chance(0.8))
+                comms.emplace_back(p, perm[p]);
+        }
+        if (!comms.empty())
+            ks.addClique(comms);
+    }
+}
+
+/**
+ * Split @p net into up to @p switches switches, then detour a third of
+ * the routes through a random switch so consolidation has work to do.
+ */
+void
+scatterRoutes(DesignNetwork &net, std::uint32_t switches, Rng &rng)
+{
+    while (net.numSwitches() < switches) {
+        std::vector<SwitchId> splittable;
+        for (SwitchId s = 0; s < net.numSwitches(); ++s) {
+            if (net.procsOf(s).size() >= 2)
+                splittable.push_back(s);
+        }
+        if (splittable.empty())
+            break;
+        net.splitSwitch(splittable[rng.below(splittable.size())], rng);
+    }
+    const auto numComms = static_cast<CommId>(net.cliques().numComms());
+    for (CommId c = 0; c < numComms; ++c) {
+        if (!rng.chance(0.33))
+            continue;
+        const auto route = net.route(c);
+        const auto via =
+            static_cast<SwitchId>(rng.below(net.numSwitches()));
+        net.setRoute(c, {route.front(), via, route.back()});
+    }
+}
+
+} // namespace
+
+TEST(Consolidate, RandomNetworksKeepInvariantsAndDegreeBudget)
+{
+    std::uint32_t committed = 0;
+    for (const std::uint64_t seed : {1ull, 7ull, 23ull, 101ull}) {
+        for (const std::uint32_t budget : {0u, 5u}) {
+            for (const bool uni : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " budget " << budget
+                             << " uni " << uni);
+                Rng rng(seed);
+                CliqueSet ks(16);
+                randomPattern(ks, 4, rng);
+                DesignNetwork net(ks);
+                scatterRoutes(net, 10, rng);
+                net.checkInvariants();
+                const auto violBefore = degreeViolation(net, budget);
+
+                const auto stats =
+                    consolidateRoutes(net, 8, budget, &rng, uni);
+                net.checkInvariants();
+                if (budget)
+                    EXPECT_LE(degreeViolation(net, budget), violBefore);
+                EXPECT_LE(stats.searched, stats.triedMoves);
+                EXPECT_LE(stats.committedMoves, stats.searched);
+                committed += stats.committedMoves;
+            }
+        }
+    }
+    // The scattered detours leave consolidation real work to commit.
+    EXPECT_GT(committed, 0u);
+}
+
+TEST(Consolidate, DegreeBudgetVetoesLinkSavingMove)
+{
+    // A {0}, X {1}, M {2,3}, C {4}. (0,4) detours A-X-C over two
+    // links of its own; A-M-C saves one by riding (0,2) on A-M for
+    // free, but widens M-C next to (2,4), its cliquemate. M starts
+    // exactly at the budget (2 procs + 2 pipes), so the move would
+    // push it over: only the unbudgeted pass may take it.
+    CliqueSet ks(5);
+    ks.addClique({Comm(0, 4), Comm(2, 4)});
+    ks.addClique({Comm(0, 2)});
+    for (const std::uint32_t budget : {0u, 4u}) {
+        DesignNetwork net(ks);
+        Rng rng(8);
+        while (net.numSwitches() < 4)
+            net.splitSwitch(0, rng);
+        const std::array<SwitchId, 5> home = {0, 1, 2, 2, 3};
+        for (ProcId p = 0; p < 5; ++p)
+            net.moveProc(p, home[p]);
+        const CommId c04 = ks.findComm(Comm(0, 4));
+        net.setRoute(c04, {0, 1, 3});
+        ASSERT_EQ(net.estimatedDegree(2), 4u);
+
+        consolidateRoutes(net, 4, budget);
+        net.checkInvariants();
+        const std::vector<SwitchId> expected =
+            budget ? std::vector<SwitchId>{0, 1, 3}
+                   : std::vector<SwitchId>{0, 2, 3};
+        EXPECT_EQ(net.route(c04), expected) << "budget " << budget;
+    }
 }
 
 TEST(Repair, ShedsTrafficFromOverloadedSwitch)

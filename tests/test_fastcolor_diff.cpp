@@ -114,8 +114,59 @@ TEST(FastColorDiff, FastColorSetPlusMatchesMaterializedUnion)
             extra = static_cast<CommId>(rng.below(numComms));
         } while (bits.test(extra));
         ref.insert(extra);
-        EXPECT_EQ(net.fastColorSetPlus(bits, extra),
+        EXPECT_EQ(net.fastColorSetPlus(bits, extra, net.fastColorSet(bits)),
                   net.fastColorSetReference(ref));
+    }
+}
+
+TEST(FastColorDiff, FastColorSetPlusMatchesReferenceOnOverlappingCliques)
+{
+    // fastColorSetPlus scans only the cliques holding the extra comm;
+    // here every comm sits in several cliques of different sizes, so
+    // the size-ordered early exit and the clique-free case both run.
+    for (const std::uint64_t seed : {5ull, 17ull, 99ull}) {
+        Rng rng(seed);
+        CliqueSet ks(8);
+        std::vector<Comm> pool;
+        for (ProcId s = 0; s < 8; ++s) {
+            for (ProcId d = 0; d < 8; ++d) {
+                if (s != d)
+                    pool.emplace_back(s, d);
+            }
+        }
+        for (const Comm &c : pool)
+            ks.internComm(c);
+        for (int k = 0; k < 12; ++k) {
+            std::vector<Comm> members;
+            const double p = 0.05 + 0.05 * rng.below(8);
+            for (const Comm &c : pool) {
+                if (rng.chance(p))
+                    members.push_back(c);
+            }
+            if (!members.empty())
+                ks.addClique(members);
+        }
+        const DesignNetwork net(ks);
+        const auto numComms = static_cast<CommId>(ks.numComms());
+        for (int trial = 0; trial < 300; ++trial) {
+            CommBitset bits(numComms);
+            std::set<CommId> ref;
+            const auto fill = rng.below(numComms);
+            for (std::uint64_t i = 0; i < fill; ++i) {
+                const auto c = static_cast<CommId>(rng.below(numComms));
+                bits.insert(c);
+                ref.insert(c);
+            }
+            CommId extra;
+            do {
+                extra = static_cast<CommId>(rng.below(numComms));
+            } while (bits.test(extra));
+            ref.insert(extra);
+            EXPECT_EQ(
+                net.fastColorSetPlus(bits, extra, net.fastColorSet(bits)),
+                net.fastColorSetReference(ref))
+                << "seed " << seed << " trial " << trial;
+        }
     }
 }
 

@@ -36,17 +36,18 @@ run(trace::Benchmark bench, std::uint32_t ranks, bool merge,
     return runMethodology(ks, mcfg);
 }
 
-constexpr std::array<const char *, 5> kMergeCounters = {
-    "pairs_tried", "skipped_degree", "rejected_estimate",
-    "rejected_finalize", "accepted"};
+constexpr std::array<const char *, 8> kMergeCounters = {
+    "pairs_tried",         "skipped_degree",       "rejected_estimate",
+    "rejected_finalize",   "accepted",             "consolidate_tried",
+    "consolidate_searched", "consolidate_committed"};
 
 /** The methodology/merge counters of one BT-9 run, in kMergeCounters order. */
-std::array<std::uint64_t, 5>
+std::array<std::uint64_t, 8>
 mergeCounters(std::uint32_t threads, DesignOutcome *outcome)
 {
     obs::MetricsRegistry metrics;
     *outcome = run(trace::Benchmark::BT, 9, true, threads, &metrics);
-    std::array<std::uint64_t, 5> values{};
+    std::array<std::uint64_t, 8> values{};
     for (std::size_t i = 0; i < kMergeCounters.size(); ++i) {
         values[i] = metrics
                         .counter(std::string("methodology/merge/") +
@@ -120,6 +121,11 @@ TEST(MergeSwitches, CountersAreThreadInvariantAndAddUp)
 
     // Every pair tried ends in exactly one outcome.
     EXPECT_EQ(c1[0], c1[1] + c1[2] + c1[3] + c1[4]);
+    // Consolidation ran for every attempted merge; a move is searched
+    // before it can commit, and some skip the search outright.
+    EXPECT_GT(c1[5], 0u);
+    EXPECT_LE(c1[6], c1[5]);
+    EXPECT_LE(c1[7], c1[6]);
     // Each accepted merge removes one switch from the restart winner.
     const auto plain = run(trace::Benchmark::BT, 9, false, 1);
     EXPECT_GT(c1[4], 0u);

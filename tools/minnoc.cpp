@@ -235,6 +235,8 @@ genCoherence(const Args &args)
             fatal("flag --mix: ", error);
         cfg.mix = *mix;
     }
+    if (const auto why = cfg.problem(); !why.empty())
+        fatal("gen --coherence: ", why);
     return coh::coherenceTrace(cfg);
 }
 
@@ -576,6 +578,11 @@ cmdExplore(const Args &args)
     cfg.grid.restarts = args.getU32List("restarts", cfg.grid.restarts);
     cfg.grid.seeds = args.getU64List("seeds", cfg.grid.seeds);
     cfg.grid.vcs = args.getU32List("vcs", cfg.grid.vcs);
+    for (const auto v : cfg.grid.vcs) {
+        if (v < 1 || v > dse::kMaxVcs)
+            fatal("flag --vcs: values must be in [1, ", dse::kMaxVcs,
+                  "], got ", v);
+    }
     cfg.grid.unidirectional =
         args.getU32List("unidirectional", cfg.grid.unidirectional);
     for (const auto u : cfg.grid.unidirectional) {
