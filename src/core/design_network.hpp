@@ -84,7 +84,11 @@ struct FastColorStats
     std::uint64_t cacheHits = 0; ///< queries answered from a pipe cache
 };
 
-/** Process-wide Fast_Color counters (atomic; cheap, thread-safe). */
+/**
+ * The calling thread's Fast_Color counters. Queries a thread pool runs
+ * on its workers are not counted here: measure with threads = 1, which
+ * runs the methodology on the calling thread.
+ */
 FastColorStats fastColorStats();
 void resetFastColorStats();
 
@@ -128,20 +132,6 @@ class DesignNetwork
 
     /** All currently non-empty pipes (sorted by key). */
     std::vector<PipeKey> pipes() const;
-
-    /**
-     * Visit every pipe in ascending key order without per-key map
-     * lookups: @p f receives (const PipeKey &, const Pipe &). The hot
-     * bulk readers (baseline snapshots, degree sweeps) use this; the
-     * callback must not mutate the network.
-     */
-    template <typename F>
-    void
-    forEachPipe(F &&f) const
-    {
-        for (const auto &[key, pipe] : _pipes)
-            f(key, pipe);
-    }
 
     /** Non-empty pipes incident to switch @p s. */
     std::vector<PipeKey> pipesOf(SwitchId s) const;

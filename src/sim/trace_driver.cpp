@@ -187,15 +187,12 @@ runTrace(const trace::Trace &trace, Network &network)
         // is empty and every live rank is waiting on the clock, jump to
         // the earliest wake-up. If the network is empty and every live
         // rank is blocked in a receive, the trace itself deadlocked.
-        // A receive whose message a later rank's send dropped in this
-        // same cycle is not blocked: it skips the loss next cycle.
         if (network.idle()) {
             Cycle next = -1;
             bool allTimeBound = true;
             bool allWaitRecv = true;
             bool anyLive = false;
-            for (core::ProcId r = 0; r < ranks; ++r) {
-                const auto &st = state[r];
+            for (const auto &st : state) {
                 if (st.phase == RankState::Phase::Done)
                     continue;
                 anyLive = true;
@@ -205,11 +202,20 @@ runTrace(const trace::Trace &trace, Network &network)
                         next = st.readyAt;
                 } else {
                     allTimeBound = false;
-                    if (st.phase != RankState::Phase::WaitRecv ||
-                        network.nextDeliveryLost(
-                            r, trace.timeline(r)[st.cursor].peer))
+                    if (st.phase != RankState::Phase::WaitRecv)
                         allWaitRecv = false;
                 }
+            }
+            // A receive whose message a later rank's send dropped in
+            // this same cycle is not blocked: it skips the loss on the
+            // next cycle.
+            for (core::ProcId r = 0; anyLive && allWaitRecv && r < ranks;
+                 ++r) {
+                const auto &st = state[r];
+                if (st.phase == RankState::Phase::WaitRecv &&
+                    network.nextDeliveryLost(
+                        r, trace.timeline(r)[st.cursor].peer))
+                    allWaitRecv = false;
             }
             if (anyLive && allWaitRecv)
                 fatal("runTrace: trace '", trace.name(),
