@@ -90,11 +90,6 @@ CliqueSet::buildMaskCaches() const
                          return _maskInfos[a].popcount >
                                 _maskInfos[b].popcount;
                      });
-    _commMasks.assign(_comms.size(), {});
-    for (const std::uint32_t m : _masksBySize) {
-        for (const CommId c : _cliques[m].comms)
-            _commMasks[c].push_back(m);
-    }
     _masksValid = true;
 }
 
@@ -120,14 +115,6 @@ CliqueSet::masksBySize() const
     if (!_masksValid)
         buildMaskCaches();
     return _masksBySize;
-}
-
-const std::vector<std::uint32_t> &
-CliqueSet::masksOf(CommId c) const
-{
-    if (!_masksValid)
-        buildMaskCaches();
-    return _commMasks.at(c);
 }
 
 void

@@ -14,6 +14,7 @@
 #define MINNOC_CORE_CLIQUE_SET_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -117,11 +118,25 @@ class CliqueSet
     const std::vector<std::uint32_t> &masksBySize() const;
 
     /**
-     * The cliques holding communication @p c, in masksBySize() order:
-     * the only cliques whose intersection with a comm set can grow
-     * when @p c joins it.
+     * Call @p fn(k) for the index k of every clique holding
+     * communication @p c, ascending: a walk over c's membership row.
      */
-    const std::vector<std::uint32_t> &masksOf(CommId c) const;
+    template <typename Fn>
+    void
+    forEachCliqueOf(CommId c, Fn &&fn) const
+    {
+        if (!_membershipValid)
+            buildMembership();
+        const std::uint64_t *row =
+            _membership.data() + c * _membershipWords;
+        for (std::size_t w = 0; w < _membershipWords; ++w) {
+            for (std::uint64_t bits = row[w]; bits; bits &= bits - 1) {
+                fn(static_cast<std::uint32_t>(
+                    w * 64 + static_cast<std::size_t>(
+                                 std::countr_zero(bits))));
+            }
+        }
+    }
 
     /**
      * Force-build every lazy cache (clique masks, contention index).
@@ -181,7 +196,6 @@ class CliqueSet
     mutable std::vector<CommBitset> _masks;
     mutable std::vector<MaskInfo> _maskInfos;
     mutable std::vector<std::uint32_t> _masksBySize;
-    mutable std::vector<std::vector<std::uint32_t>> _commMasks;
     mutable bool _masksValid = false;
 };
 

@@ -13,9 +13,7 @@ namespace {
 // Global rather than per network, so the bench can aggregate over the
 // many short-lived DesignNetwork instances a methodology run creates
 // (one per restart). Per thread because every hop price bumps them:
-// with one shared atomic pair the restart workers fought over a cache
-// line, and the BT-36 restart phase of a 4-thread design took 0.3 s
-// instead of 0.13 s (4-vCPU host).
+// shared counters make the restart workers contend for one cache line.
 thread_local FastColorStats t_fcStats;
 
 } // namespace
@@ -263,9 +261,9 @@ DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra,
     const auto &infos = _cliques->maskInfos();
     const auto &sw = comms.words();
     std::uint32_t best = comms_fc;
-    for (const std::uint32_t m : _cliques->masksOf(extra)) {
+    _cliques->forEachCliqueOf(extra, [&](std::uint32_t m) {
         if (best >= cap || infos[m].popcount <= best)
-            break; // descending sizes: nothing later can beat best
+            return;
         const auto &mw = masks[m].words();
         std::uint32_t common = 1;
         for (const std::uint32_t w : infos[m].nonzeroWords) {
@@ -275,7 +273,7 @@ DesignNetwork::fastColorSetPlus(const CommBitset &comms, CommId extra,
                 std::popcount(mw[w] & sw[w]));
         }
         best = std::max(best, common);
-    }
+    });
     return best;
 }
 

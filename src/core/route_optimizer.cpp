@@ -4,7 +4,6 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <tuple>
 
 #include "util/log.hpp"
 
@@ -218,12 +217,12 @@ class Reroute
 
     /**
      * Widths of pipe (u, v) with the victim riding it u -> v, or
-     * nullopt when no such pipe exists. Only the pipes of the old
-     * route carry the victims; each gets a victim-free baseline, with
-     * memoized with-victim values, the first time it is priced. Every
-     * other pipe is priced straight from the live pipe and its cached
-     * Fast_Color (valid because pricing only reads it before any route
-     * commits), so a reroute costs O(pipes reached), not O(network).
+     * nullopt when no such pipe exists. Only the pipes of the old route
+     * carry the victims; each is priced against a victim-free copy
+     * built the first time it is asked for. Every other pipe is priced
+     * straight from the live pipe and its cached Fast_Color (valid
+     * because pricing only reads it before any route commits), so a
+     * reroute costs O(pipes reached), not O(network).
      */
     std::optional<HopWidths>
     hop(SwitchId u, SwitchId v)
@@ -232,45 +231,26 @@ class Reroute
         const Pipe *live = _net.findPipe(key);
         if (!live)
             return std::nullopt;
-        const bool forward = u < v;
-        const bool touched =
+        const bool carries =
             live->fwd.test(_c) || live->bwd.test(_c) ||
             (_rev != CliqueSet::kNoComm &&
              (live->fwd.test(_rev) || live->bwd.test(_rev)));
+        const Baseline *b = carries ? &baseline(key, *live) : nullptr;
+        const CommBitset &fwd = b ? b->fwd : live->fwd;
+        const CommBitset &bwd = b ? b->bwd : live->bwd;
+        const auto [fcFwd, fcBwd] =
+            b ? std::pair(b->fcFwd, b->fcBwd) : _net.fastColorDirs(*live);
+        const bool forward = u < v;
         HopWidths h;
-        if (!touched) {
-            const auto [fcFwd, fcBwd] = _net.fastColorDirs(*live);
-            h.with = forward ? _net.fastColorSetPlus(live->fwd, _c, fcFwd)
-                             : _net.fastColorSetPlus(live->bwd, _c, fcBwd);
-            h.other = forward ? fcBwd : fcFwd;
-            if (_rev != CliqueSet::kNoComm) {
-                h.other =
-                    forward ? _net.fastColorSetPlus(live->bwd, _rev, fcBwd)
-                            : _net.fastColorSetPlus(live->fwd, _rev, fcFwd);
-            }
-            h.width = std::max(fcFwd, fcBwd);
-            h.channels = fcFwd + fcBwd;
-            return h;
-        }
-        Baseline &b = baseline(key, *live);
-        std::int64_t &withC = forward ? b.withCFwd : b.withCBwd;
-        if (withC < 0) {
-            withC = forward ? _net.fastColorSetPlus(b.fwd, _c, b.fcFwd)
-                            : _net.fastColorSetPlus(b.bwd, _c, b.fcBwd);
-        }
-        h.with = static_cast<std::uint32_t>(withC);
-        h.other = forward ? b.fcBwd : b.fcFwd;
+        h.with = forward ? _net.fastColorSetPlus(fwd, _c, fcFwd)
+                         : _net.fastColorSetPlus(bwd, _c, fcBwd);
+        h.other = forward ? fcBwd : fcFwd;
         if (_rev != CliqueSet::kNoComm) {
-            std::int64_t &withR = forward ? b.withRevBwd : b.withRevFwd;
-            if (withR < 0) {
-                withR = forward
-                            ? _net.fastColorSetPlus(b.bwd, _rev, b.fcBwd)
-                            : _net.fastColorSetPlus(b.fwd, _rev, b.fcFwd);
-            }
-            h.other = static_cast<std::uint32_t>(withR);
+            h.other = forward ? _net.fastColorSetPlus(bwd, _rev, fcBwd)
+                              : _net.fastColorSetPlus(fwd, _rev, fcFwd);
         }
-        h.width = std::max(b.fcFwd, b.fcBwd);
-        h.channels = b.fcFwd + b.fcBwd;
+        h.width = std::max(fcFwd, fcBwd);
+        h.channels = fcFwd + fcBwd;
         return h;
     }
 
@@ -349,7 +329,7 @@ class Reroute
     }
 
   private:
-    /** A pipe of the old route with the victims removed, plus memos. */
+    /** A pipe of the old route with the victims removed. */
     struct Baseline
     {
         PipeKey key;
@@ -357,10 +337,6 @@ class Reroute
         CommBitset bwd;
         std::uint32_t fcFwd = 0;
         std::uint32_t fcBwd = 0;
-        std::int64_t withCFwd = -1;   ///< fastColor(fwd + c), -1 = unset
-        std::int64_t withCBwd = -1;   ///< fastColor(bwd + c)
-        std::int64_t withRevFwd = -1; ///< fastColor(fwd + rev)
-        std::int64_t withRevBwd = -1; ///< fastColor(bwd + rev)
     };
 
     /** The baseline of old-route pipe @p key, built on first use. */
@@ -393,19 +369,6 @@ class Reroute
     std::vector<SwitchId> _old;
     std::vector<Baseline> _base; ///< old-route pipes priced so far
 };
-
-/** Summed excess of @p degrees over @p max_degree at switches @p at. */
-std::uint64_t
-violationAt(const std::vector<std::uint32_t> &degrees,
-            const std::vector<SwitchId> &at, std::uint32_t max_degree)
-{
-    std::uint64_t total = 0;
-    for (const SwitchId s : at) {
-        if (degrees[s] > max_degree)
-            total += degrees[s] - max_degree;
-    }
-    return total;
-}
 
 /**
  * One consolidation attempt for a single communication: the cheapest
@@ -479,19 +442,24 @@ consolidateOne(DesignNetwork &net, CommId c, std::uint32_t max_degree,
     moved.insert(moved.end(), path->hops.begin(), path->hops.end());
     std::sort(moved.begin(), moved.end());
     moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
-    const std::uint64_t violBefore =
-        violationAt(degrees, moved, max_degree);
-    std::vector<std::uint32_t> before(moved.size());
-    for (std::size_t i = 0; i < moved.size(); ++i)
-        before[i] = degrees[moved[i]];
+    auto excess = [&](std::uint32_t d) -> std::uint64_t {
+        return d > max_degree ? d - max_degree : 0;
+    };
+    std::uint64_t violBefore = 0;
+    for (const SwitchId s : moved)
+        violBefore += excess(degrees[s]);
+    std::vector<std::uint32_t> after(moved.size());
     return rr.commit(path->hops, [&] {
-        for (const SwitchId s : moved)
-            degrees[s] = net.estimatedDegree(s);
-        if (violationAt(degrees, moved, max_degree) <= violBefore)
-            return true;
+        std::uint64_t violAfter = 0;
+        for (std::size_t i = 0; i < moved.size(); ++i) {
+            after[i] = net.estimatedDegree(moved[i]);
+            violAfter += excess(after[i]);
+        }
+        if (violAfter > violBefore)
+            return false;
         for (std::size_t i = 0; i < moved.size(); ++i)
-            degrees[moved[i]] = before[i];
-        return false;
+            degrees[moved[i]] = after[i];
+        return true;
     });
 }
 

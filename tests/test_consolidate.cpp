@@ -198,8 +198,9 @@ TEST(Consolidate, RandomNetworksKeepInvariantsAndDegreeBudget)
                 const auto stats =
                     consolidateRoutes(net, 8, budget, &rng, uni);
                 net.checkInvariants();
-                if (budget)
+                if (budget) {
                     EXPECT_LE(degreeViolation(net, budget), violBefore);
+                }
                 EXPECT_LE(stats.searched, stats.triedMoves);
                 EXPECT_LE(stats.committedMoves, stats.searched);
                 committed += stats.committedMoves;
