@@ -38,6 +38,8 @@ namespace minnoc::dse {
 
 /** Most virtual channels per port a grid point may ask for. */
 inline constexpr std::uint32_t kMaxVcs = 32;
+/** Deepest virtual-channel buffer (flits) a grid may ask for. */
+inline constexpr std::uint32_t kMaxVcDepth = 64;
 
 /**
  * The swept parameter grid; expand() emits the cross product in a

@@ -294,7 +294,7 @@ parseRequest(const std::string &line, RequestError &error)
             req.grid.unidirectional = narrow32(list);
         }
         if (const auto *v = root->find("vc_depth")) {
-            if (!asUint(*v, 64, u) || u < 1)
+            if (!asUint(*v, dse::kMaxVcDepth, u) || u < 1)
                 return badField("vc_depth",
                                 "must be an integer in [1, 64]");
             req.grid.vcDepth = static_cast<std::uint32_t>(u);
@@ -418,7 +418,7 @@ parseRequest(const std::string &line, RequestError &error)
             req.vcs = static_cast<std::uint32_t>(u);
         }
         if (const auto *v = root->find("vc_depth")) {
-            if (!asUint(*v, 64, u) || u < 1)
+            if (!asUint(*v, dse::kMaxVcDepth, u) || u < 1)
                 return badField("vc_depth",
                                 "must be an integer in [1, 64]");
             req.vcDepth = static_cast<std::uint32_t>(u);

@@ -64,6 +64,8 @@ expect_one_fatal simulate "$DIR/cg.trace" --network mesh \
 expect_one_fatal gen --coherence 1 --ranks 4 --blocks 0
 expect_one_fatal gen --coherence 1 --ranks 4 --sharers 0
 expect_one_fatal explore "$DIR/cg.trace" --vcs 0 --degrees 4 --cache 0
+expect_one_fatal explore "$DIR/cg.trace" --vc-depth 0 --degrees 4 \
+    --cache 0
 
 # Failing every eligible link disconnects every channel: the run still
 # completes, every receive is lost and every channel is listed.

@@ -591,6 +591,9 @@ cmdExplore(const Args &args)
                   u);
     }
     cfg.grid.vcDepth = args.getU32("vc-depth", cfg.grid.vcDepth);
+    if (cfg.grid.vcDepth < 1 || cfg.grid.vcDepth > dse::kMaxVcDepth)
+        fatal("flag --vc-depth: expected a value in [1, ",
+              dse::kMaxVcDepth, "], got ", cfg.grid.vcDepth);
     cfg.grid.phaseWindows =
         args.getU32List("phase-windows", cfg.grid.phaseWindows);
     cfg.phaseReconfigCost = static_cast<sim::Cycle>(args.getU64(
